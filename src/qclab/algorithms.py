@@ -2,7 +2,9 @@
 
 Every algorithm consumes an OracleSession (its only access to the hidden
 edge set), colors vertices, samples through the oracle, and hands the small
-sampled or quotient instance to an exact solver. Randomized variants boost a
+sampled or quotient instance to an exact solver. One round driver does that
+for a list of colorings: random ones for the randomized variants, an
+injective family for the deterministic ones. Randomized variants boost a
 constant-probability core procedure: optimization algorithms repeat and keep
 the best outcome, decision algorithms repeat and take a majority vote. The
 number of repetitions is boost_c * ceil(log2 k), clamped so k <= 1 still
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .coloring import HashColoring, perfect_family, random_coloring
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, crossing_edges, hits_every_edge, is_packing
 from .oracle import OracleSession, QueryStats
 from .rng import rng_from
 from .sampler import quotient_existence, sample_subhypergraph, sample_union
@@ -115,9 +117,13 @@ class AlgorithmResult:
     answer: bool
     witness: object | None
     stats: QueryStats
-    rounds_used: int
     constants: AlgorithmConstants
     colorings: tuple[HashColoring, ...] = field(repr=False, default=())
+
+    @property
+    def rounds_used(self) -> int:
+        """One round per coloring: every round probes exactly one."""
+        return len(self.colorings)
 
     def query_counts_by_round(self, d: int) -> tuple[int, ...]:
         """Closed-form C(q_r, d) per round, recomputed from the colorings."""
@@ -128,27 +134,151 @@ class AlgorithmResult:
         return tuple(counts)
 
 
-def _delta(session: OracleSession, before: QueryStats) -> QueryStats:
-    return session.stats() - before
+def _check_args(
+    session: OracleSession, k: int, graph: str = "", t: int | None = None, k_min: int = 1
+) -> None:
+    """Reject invalid arguments before any query runs; `graph` names the
+    problem when it needs d=2."""
+    if t is not None and t < 2:
+        raise ValueError("t must be at least 2")
+    if k < k_min:
+        raise ValueError("k must be positive" if k_min else "k must be non-negative")
+    if graph and session.d != 2:
+        raise ValueError(f"{graph} needs a graph (d=2)")
+
+
+def _result(
+    session: OracleSession,
+    before: QueryStats,
+    constants: AlgorithmConstants,
+    colorings,
+    answer: bool,
+    witness: object | None = None,
+) -> AlgorithmResult:
+    return AlgorithmResult(
+        answer=answer,
+        witness=witness if answer else None,
+        stats=session.stats() - before,
+        constants=constants,
+        colorings=tuple(colorings),
+    )
 
 
 def _check_cover(witness: tuple[int, ...], graph: Hypergraph) -> None:
-    s = set(witness)
-    for e in graph.edges:
-        if not s.intersection(e):
-            raise AssertionError("returned cover misses a sampled edge; algorithm bug")
+    if not hits_every_edge(witness, graph):
+        raise AssertionError("returned cover misses a sampled edge; algorithm bug")
 
 
 def _check_packing(witness: tuple[Edge, ...], graph: Hypergraph) -> None:
-    seen: set[int] = set()
-    edge_set = set(graph.edges)
-    for e in witness:
-        if e not in edge_set or seen.intersection(e):
-            raise AssertionError("returned packing invalid on sampled evidence; algorithm bug")
-        seen.update(e)
+    if not is_packing(witness, graph):
+        raise AssertionError("returned packing invalid on sampled evidence; algorithm bug")
+
+
+# -- the round driver ------------------------------------------------------
+
+
+def _random_colorings(n: int, b: int, rounds: int, seed: int) -> list[HashColoring]:
+    """Round r colors into [b] from the child stream (seed, "round", r)."""
+    return [random_coloring(n, b, rng_from(seed, "round", r)) for r in range(rounds)]
+
+
+def _rounds(
+    session: OracleSession,
+    colorings,
+    solve: Callable[[Any, HashColoring], Any],
+    existence: bool = False,
+) -> Iterator:
+    """Run one round per coloring, in order: probe it through the oracle (a
+    witness-query sample, or with `existence` a class quotient) and yield
+    what `solve` makes of the small instance."""
+    probe = quotient_existence if existence else sample_subhypergraph
+    for c in colorings:
+        yield solve(probe(session, c), c)
+
+
+def _best(
+    session: OracleSession,
+    k: int,
+    colorings,
+    solve: Callable[[Any, HashColoring], tuple[int, object]],
+    constants: AlgorithmConstants,
+    existence: bool = False,
+) -> AlgorithmResult:
+    """Keep the first round of highest score; found when that score reaches k."""
+    before = session.stats()
+    score, best = max(_rounds(session, colorings, solve, existence), key=lambda r: r[0])
+    return _result(session, before, constants, colorings, score >= k, best)
+
+
+def _vote(
+    session: OracleSession,
+    k: int,
+    colorings,
+    cover: Callable[..., tuple[int, ...]],
+    constants: AlgorithmConstants,
+    limits: SolverLimits,
+) -> AlgorithmResult:
+    """Majority vote over class quotients on "the quotient has a cover of at
+    most k vertices" (ties resolve to "no")."""
+    before = session.stats()
+    votes = sum(
+        _rounds(session, colorings, lambda q, c: len(cover(q.graph, limits)) <= k, existence=True)
+    )
+    return _result(session, before, constants, colorings, 2 * votes > len(colorings))
+
+
+def _promised(
+    session: OracleSession,
+    b: int,
+    t: int,
+    seed: int,
+    solver: Callable[..., tuple],
+    check: Callable[[tuple, Hypergraph], None],
+    constants: AlgorithmConstants,
+    limits: SolverLimits,
+) -> AlgorithmResult:
+    """Solve the union of t samples at b colors exactly; the promise makes its
+    optimum, with high probability, an optimum of the hidden instance."""
+    before = session.stats()
+    sample = sample_union(session, b, t, seed)
+    witness = solver(sample.graph, limits)
+    check(witness, sample.graph)
+    return _result(session, before, constants, sample.provenance, True, witness)
+
+
+def _two_phase(
+    session: OracleSession,
+    k: int,
+    seed: int,
+    promised: Callable[..., AlgorithmResult],
+    bound: int,
+    constants: AlgorithmConstants,
+    limits: SolverLimits,
+) -> AlgorithmResult:
+    """A packing of k+1 disjoint edges certifies that no k vertices hit every
+    edge; otherwise the optimum is at most `bound` and the promised algorithm
+    finishes."""
+    before = session.stats()
+    phase1 = packing(session, k + 1, seed=seed, constants=constants, limits=limits)
+    if phase1.answer:
+        return _result(session, before, constants, phase1.colorings, False)
+    phase2 = promised(session, bound, seed=seed, constants=constants, limits=limits)
+    witness = phase2.witness
+    assert isinstance(witness, tuple)
+    colorings = phase1.colorings + phase2.colorings
+    return _result(session, before, constants, colorings, len(witness) <= k, witness)
 
 
 # -- packing / matching ------------------------------------------------
+
+
+def _packing_round(limits: SolverLimits):
+    def solve(sample, c: HashColoring) -> tuple[int, tuple[Edge, ...]]:
+        pack = max_set_packing(sample.graph, limits)
+        _check_packing(pack, sample.graph)
+        return len(pack), pack
+
+    return solve
 
 
 def packing(
@@ -164,35 +294,10 @@ def packing(
     sub-hypergraph through the witness oracle, and solves it exactly; the
     best packing over boost_c*log k rounds is kept.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    d = session.d
-    before = session.stats()
-    b = constants.pack_gamma_for(d) * k * k
-    rounds = constants.boost_c * log_k(k)
-    best: tuple[Edge, ...] = ()
-    colorings = []
-    best_graph = None
-    for r in range(rounds):
-        c = random_coloring(session.n, b, rng_from(seed, "round", r))
-        colorings.append(c)
-        sample = sample_subhypergraph(session, c)
-        pack = max_set_packing(sample.graph, limits)
-        if len(pack) > len(best):
-            best = pack
-            best_graph = sample.graph
-    answer = len(best) >= k
-    if answer:
-        assert best_graph is not None
-        _check_packing(best, best_graph)
-    return AlgorithmResult(
-        answer=answer,
-        witness=best if answer else None,
-        stats=_delta(session, before),
-        rounds_used=rounds,
-        constants=constants,
-        colorings=tuple(colorings),
-    )
+    _check_args(session, k)
+    b = constants.pack_gamma_for(session.d) * k * k
+    colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
+    return _best(session, k, colorings, _packing_round(limits), constants)
 
 
 def packing_deterministic(
@@ -208,33 +313,11 @@ def packing_deterministic(
     probability. Costs a factor of the family size (about max(n, colors))
     more queries than one randomized round.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    d = session.d
-    before = session.stats()
-    s = d * k
-    range_b = max(constants.pack_gamma_for(d) * k * k, 4 * s * s)
+    _check_args(session, k)
+    s = session.d * k
+    range_b = max(constants.pack_gamma_for(session.d) * k * k, 4 * s * s)
     family = perfect_family(session.n, s, range_b)
-    best: tuple[Edge, ...] = ()
-    best_graph = None
-    for c in family.members:
-        sample = sample_subhypergraph(session, c)
-        pack = max_set_packing(sample.graph, limits)
-        if len(pack) > len(best):
-            best = pack
-            best_graph = sample.graph
-    answer = len(best) >= k
-    if answer:
-        assert best_graph is not None
-        _check_packing(best, best_graph)
-    return AlgorithmResult(
-        answer=answer,
-        witness=best if answer else None,
-        stats=_delta(session, before),
-        rounds_used=len(family.members),
-        constants=constants,
-        colorings=tuple(family.members),
-    )
+    return _best(session, k, family.members, _packing_round(limits), constants)
 
 
 def matching_promised(
@@ -245,24 +328,10 @@ def matching_promised(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> AlgorithmResult:
     """Maximum matching under the promise that it has at most k edges."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if session.d != 2:
-        raise ValueError("matching needs a graph (d=2)")
-    before = session.stats()
+    _check_args(session, k, graph="matching")
     b = constants.match_colors_factor * k
     t = constants.match_rounds_factor * log_k(k)
-    sample = sample_union(session, b, t, seed)
-    witness = max_matching(sample.graph, limits)
-    _check_packing(witness, sample.graph)
-    return AlgorithmResult(
-        answer=True,
-        witness=witness,
-        stats=_delta(session, before),
-        rounds_used=t,
-        constants=constants,
-        colorings=sample.provenance,
-    )
+    return _promised(session, b, t, seed, max_matching, _check_packing, constants, limits)
 
 
 # -- vertex cover ------------------------------------------------------
@@ -282,24 +351,10 @@ def vc_promised(
     probability, a minimum cover of the hidden graph. The promise itself is
     not checked.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if session.d != 2:
-        raise ValueError("vertex cover needs a graph (d=2)")
-    before = session.stats()
+    _check_args(session, k, graph="vertex cover")
     b = constants.vc_colors_factor * k
     t = constants.vc_rounds_factor * log_k(k)
-    sample = sample_union(session, b, t, seed)
-    witness = min_vertex_cover(sample.graph, limits)
-    _check_cover(witness, sample.graph)
-    return AlgorithmResult(
-        answer=True,
-        witness=witness,
-        stats=_delta(session, before),
-        rounds_used=t,
-        constants=constants,
-        colorings=sample.provenance,
-    )
+    return _promised(session, b, t, seed, min_vertex_cover, _check_cover, constants, limits)
 
 
 def vertex_cover(
@@ -314,32 +369,8 @@ def vertex_cover(
     A matching of k+1 disjoint edges certifies that no k-cover exists;
     otherwise the cover is at most 2k and the promised algorithm finishes.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    before = session.stats()
-    phase1 = packing(session, k + 1, seed=seed, constants=constants, limits=limits)
-    colorings = phase1.colorings
-    if phase1.answer:
-        return AlgorithmResult(
-            answer=False,
-            witness=None,
-            stats=_delta(session, before),
-            rounds_used=phase1.rounds_used,
-            constants=constants,
-            colorings=colorings,
-        )
-    phase2 = vc_promised(session, 2 * k, seed=seed, constants=constants, limits=limits)
-    witness = phase2.witness
-    assert isinstance(witness, tuple)
-    answer = len(witness) <= k
-    return AlgorithmResult(
-        answer=answer,
-        witness=witness if answer else None,
-        stats=_delta(session, before),
-        rounds_used=phase1.rounds_used + phase2.rounds_used,
-        constants=constants,
-        colorings=colorings + phase2.colorings,
-    )
+    _check_args(session, k, graph="vertex cover")
+    return _two_phase(session, k, seed, vc_promised, 2 * k, constants, limits)
 
 
 def vc_decision(
@@ -352,33 +383,14 @@ def vc_decision(
     """Decide whether a vertex cover of size at most k exists, using only
     existence (yes/no) queries.
 
-    Each round colors at 100*k^4 colors, builds the class quotient graph,
-    and votes on the quotient's exact cover size; the majority wins (ties
-    resolve to "no").
+    Each round colors at 100*k^4 colors (k=0 colors as k=1), builds the class
+    quotient graph, and votes on the quotient's exact cover size; the
+    majority wins (ties resolve to "no").
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if session.d != 2:
-        raise ValueError("vertex cover needs a graph (d=2)")
-    before = session.stats()
-    b = max(1, constants.vc_decision_colors_factor * k**4)
-    rounds = constants.boost_c * log_k(k)
-    votes = 0
-    colorings = []
-    for r in range(rounds):
-        c = random_coloring(session.n, b, rng_from(seed, "round", r))
-        colorings.append(c)
-        quotient = quotient_existence(session, c)
-        if len(min_vertex_cover(quotient.graph, limits)) <= k:
-            votes += 1
-    return AlgorithmResult(
-        answer=2 * votes > rounds,
-        witness=None,
-        stats=_delta(session, before),
-        rounds_used=rounds,
-        constants=constants,
-        colorings=tuple(colorings),
-    )
+    _check_args(session, k, graph="vertex cover", k_min=0)
+    b = constants.vc_decision_colors_factor * max(k, 1) ** 4
+    colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
+    return _vote(session, k, colorings, min_vertex_cover, constants, limits)
 
 
 # -- hitting set -------------------------------------------------------
@@ -398,23 +410,10 @@ def hs_promised(
     minimal large core significant, which is exactly what makes its minimum
     hitting set transfer back to the hidden instance.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    d = session.d
-    before = session.stats()
-    b = constants.hs_beta_for(d) * k
-    t = constants.hs_alpha_for(d) * log_k(k)
-    sample = sample_union(session, b, t, seed)
-    witness = min_hitting_set(sample.graph, limits)
-    _check_cover(witness, sample.graph)
-    return AlgorithmResult(
-        answer=True,
-        witness=witness,
-        stats=_delta(session, before),
-        rounds_used=t,
-        constants=constants,
-        colorings=sample.provenance,
-    )
+    _check_args(session, k)
+    b = constants.hs_beta_for(session.d) * k
+    t = constants.hs_alpha_for(session.d) * log_k(k)
+    return _promised(session, b, t, seed, min_hitting_set, _check_cover, constants, limits)
 
 
 def hitting_set(
@@ -430,32 +429,8 @@ def hitting_set(
     otherwise the optimum is at most d*k and the promised algorithm runs
     with that bound.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    d = session.d
-    before = session.stats()
-    phase1 = packing(session, k + 1, seed=seed, constants=constants, limits=limits)
-    if phase1.answer:
-        return AlgorithmResult(
-            answer=False,
-            witness=None,
-            stats=_delta(session, before),
-            rounds_used=phase1.rounds_used,
-            constants=constants,
-            colorings=phase1.colorings,
-        )
-    phase2 = hs_promised(session, d * k, seed=seed, constants=constants, limits=limits)
-    witness = phase2.witness
-    assert isinstance(witness, tuple)
-    answer = len(witness) <= k
-    return AlgorithmResult(
-        answer=answer,
-        witness=witness if answer else None,
-        stats=_delta(session, before),
-        rounds_used=phase1.rounds_used + phase2.rounds_used,
-        constants=constants,
-        colorings=phase1.colorings + phase2.colorings,
-    )
+    _check_args(session, k)
+    return _two_phase(session, k, seed, hs_promised, session.d * k, constants, limits)
 
 
 def hs_decision(
@@ -466,29 +441,12 @@ def hs_decision(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> AlgorithmResult:
     """Decide whether a hitting set of size at most k exists, via existence
-    queries on class quotients and a majority vote (ties resolve to "no")."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    d = session.d
-    before = session.stats()
-    b = max(1, constants.hs_decision_gamma_for(d) * k ** (2 * d))
-    rounds = constants.boost_c * log_k(k)
-    votes = 0
-    colorings = []
-    for r in range(rounds):
-        c = random_coloring(session.n, b, rng_from(seed, "round", r))
-        colorings.append(c)
-        quotient = quotient_existence(session, c)
-        if len(min_hitting_set(quotient.graph, limits)) <= k:
-            votes += 1
-    return AlgorithmResult(
-        answer=2 * votes > rounds,
-        witness=None,
-        stats=_delta(session, before),
-        rounds_used=rounds,
-        constants=constants,
-        colorings=tuple(colorings),
-    )
+    queries on class quotients at gamma*k^(2d) colors (k=0 colors as k=1)
+    and a majority vote (ties resolve to "no")."""
+    _check_args(session, k, k_min=0)
+    b = constants.hs_decision_gamma_for(session.d) * max(k, 1) ** (2 * session.d)
+    colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
+    return _vote(session, k, colorings, min_hitting_set, constants, limits)
 
 
 # -- cut ---------------------------------------------------------------
@@ -509,66 +467,42 @@ def cut(
     k on sampled edges achieves at least k on the hidden graph, so the first
     round reaching k settles the answer (the best round is reported).
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if session.d != 2:
-        raise ValueError("cut needs a graph (d=2)")
-    before = session.stats()
+    _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
-    rounds = constants.boost_c * log_k(k)
-    best_size = -1
-    best_partition: tuple[int, ...] | None = None
-    colorings = []
-    for r in range(rounds):
-        c = random_coloring(session.n, b, rng_from(seed, "round", r))
-        colorings.append(c)
-        sample = sample_subhypergraph(session, c)
-        size, partition = _cut_round(sample.graph, c, t, limits)
-        if size > best_size:
-            best_size = size
-            best_partition = partition
-    answer = best_size >= k
-    return AlgorithmResult(
-        answer=answer,
-        witness=best_partition if answer else None,
-        stats=_delta(session, before),
-        rounds_used=rounds,
-        constants=constants,
-        colorings=tuple(colorings),
-    )
+    colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
+    return _best(session, k, colorings, _cut_round(t, limits), constants)
 
 
-def _cut_round(
-    sampled: Hypergraph, c: HashColoring, t: int, limits: SolverLimits
-) -> tuple[int, tuple[int, ...]]:
-    """Exact max t-cut of the sampled edges over whole-class assignments."""
-    # contract each color class to one node; sampled edges join distinct classes
-    color_of = c.color
-    used_colors = sorted({color_of[v] for e in sampled.edges for v in e})
-    if not used_colors:
-        return 0, tuple([0] * c.n)
-    index = {col: i for i, col in enumerate(used_colors)}
-    contracted = Hypergraph(
-        n=len(used_colors),
-        d=2,
-        edges=tuple(
-            sorted(
-                tuple(sorted((index[color_of[u]], index[color_of[v]])))
-                for u, v in sampled.edges
-            )
-        ),
-    )
-    class_parts, size = max_t_cut(contracted, t, limits)
-    lifted = tuple(
-        class_parts[index[color_of[v]]] if color_of[v] in index else 0 for v in range(c.n)
-    )
-    # verify against the sampled evidence
-    crossing = sum(1 for u, v in sampled.edges if lifted[u] != lifted[v])
-    if crossing != size:
-        raise AssertionError("lifted partition does not reproduce the class cut; bug")
-    return size, lifted
+def _cut_round(t: int, limits: SolverLimits):
+    def solve(sample, c: HashColoring) -> tuple[int, tuple[int, ...]]:
+        """Exact max t-cut of the sampled edges over whole-class assignments."""
+        sampled = sample.graph
+        # contract each color class to one node; sampled edges join distinct classes
+        color_of = c.color
+        used_colors = sorted({color_of[v] for e in sampled.edges for v in e})
+        if not used_colors:
+            return 0, tuple([0] * c.n)
+        index = {col: i for i, col in enumerate(used_colors)}
+        contracted = Hypergraph(
+            n=len(used_colors),
+            d=2,
+            edges=tuple(
+                sorted(
+                    tuple(sorted((index[color_of[u]], index[color_of[v]])))
+                    for u, v in sampled.edges
+                )
+            ),
+        )
+        class_parts, size = max_t_cut(contracted, t, limits)
+        lifted = tuple(
+            class_parts[index[color_of[v]]] if color_of[v] in index else 0 for v in range(c.n)
+        )
+        # verify against the sampled evidence
+        if crossing_edges(lifted, sampled) != size:
+            raise AssertionError("lifted partition does not reproduce the class cut; bug")
+        return size, lifted
+
+    return solve
 
 
 def cut_decision(
@@ -586,31 +520,14 @@ def cut_decision(
     partition cutting k quotient edges lifts to a hidden cut of at least k,
     so the answer is yes exactly when some round's quotient reaches k.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if session.d != 2:
-        raise ValueError("cut needs a graph (d=2)")
-    before = session.stats()
+    _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
-    rounds = constants.boost_c * log_k(k)
-    best = -1
-    colorings = []
-    for r in range(rounds):
-        c = random_coloring(session.n, b, rng_from(seed, "round", r))
-        colorings.append(c)
-        quotient = quotient_existence(session, c)
-        _, size = max_t_cut(quotient.graph, t, limits) if quotient.graph.m else ((), 0)
-        best = max(best, size)
-    return AlgorithmResult(
-        answer=best >= k,
-        witness=None,
-        stats=_delta(session, before),
-        rounds_used=rounds,
-        constants=constants,
-        colorings=tuple(colorings),
-    )
+    colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
+
+    def solve(quotient, c: HashColoring) -> tuple[int, None]:
+        return (max_t_cut(quotient.graph, t, limits)[1] if quotient.graph.m else 0), None
+
+    return _best(session, k, colorings, solve, constants, existence=True)
 
 
 def cut_deterministic(
@@ -624,30 +541,8 @@ def cut_deterministic(
 
     Some member colors the 2k endpoints of any fixed k-edge cut injectively,
     so the best class-level cut over the family is exact."""
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if session.d != 2:
-        raise ValueError("cut needs a graph (d=2)")
-    before = session.stats()
+    _check_args(session, k, graph="cut", t=t)
     s = 2 * k
     range_b = max(constants.cut_colors_factor * k * k, 4 * s * s)
     family = perfect_family(session.n, s, range_b)
-    best_size = -1
-    best_partition: tuple[int, ...] | None = None
-    for c in family.members:
-        sample = sample_subhypergraph(session, c)
-        size, partition = _cut_round(sample.graph, c, t, limits)
-        if size > best_size:
-            best_size = size
-            best_partition = partition
-    answer = best_size >= k
-    return AlgorithmResult(
-        answer=answer,
-        witness=best_partition if answer else None,
-        stats=_delta(session, before),
-        rounds_used=len(family.members),
-        constants=constants,
-        colorings=family.members,
-    )
+    return _best(session, k, family.members, _cut_round(t, limits), constants)

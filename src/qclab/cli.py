@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional
 
 from .algorithms import DEFAULT_CONSTANTS
 from .harness import (
@@ -33,28 +32,29 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=int, default=None, help="hitting-set round multiplier")
     p.add_argument("--beta", type=int, default=None, help="hitting-set color multiplier")
     p.add_argument("--colors-factor", type=int, default=None,
-                   help="cover sampler color multiplier")
+                   help="color multiplier of the algorithm being run (see README)")
     p.add_argument("--budget-ms", type=int, default=None, help="solver time budget")
     p.add_argument("--log-queries", metavar="PATH", default=None,
                    help="write one line per oracle call to PATH")
     p.add_argument("-o", "--output", metavar="PATH", default=None)
 
 
-def _constants_from_args(args: argparse.Namespace, algo: Optional[str] = None):
-    overrides = {}
-    if args.boost_c is not None:
-        overrides["boost_c"] = args.boost_c
-    if args.gamma is not None:
-        if algo == "hs-decision":
-            overrides["hs_decision_gamma"] = args.gamma
-        else:
-            overrides["pack_gamma"] = args.gamma
-    if args.alpha is not None:
-        overrides["hs_alpha"] = args.alpha
-    if args.beta is not None:
-        overrides["hs_beta"] = args.beta
-    if args.colors_factor is not None:
-        overrides["vc_colors_factor"] = args.colors_factor
+def _constants_from_args(args: argparse.Namespace, algo: str):
+    """Constant overrides from the flags; `--colors-factor` sets the color
+    constant of the algorithm being run (its registry entry names it)."""
+    overrides: dict[str, int] = {}
+    for name, value in (
+        ("boost_c", args.boost_c),
+        ("hs_decision_gamma" if algo == "hs-decision" else "pack_gamma", args.gamma),
+        ("hs_alpha", args.alpha),
+        ("hs_beta", args.beta),
+        (ALGORITHMS[algo].colors, args.colors_factor),
+    ):
+        if value is None:
+            continue
+        if overrides.get(name, value) != value:
+            raise ValueError(f"--colors-factor and another flag set {name} to different values")
+        overrides[name] = value
     return DEFAULT_CONSTANTS.override(**overrides)
 
 
@@ -83,14 +83,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     hidden = load_hypergraph(args.instance)
-    policy = (
-        EdgeSelectionPolicy.LEXICOGRAPHIC if args.policy == "lex"
-        else EdgeSelectionPolicy.UNIFORM_RANDOM
-    )
     report, result = run_trial(
         args.algo, hidden, args.k, t=args.t, seed=args.seed,
-        constants=_constants_from_args(args, args.algo),
-        limits=_limits_from_args(args), policy=policy, log_path=args.log_queries,
+        constants=_constants_from_args(args, args.algo), limits=_limits_from_args(args),
+        policy=EdgeSelectionPolicy(args.policy), log_path=args.log_queries,
     )
     payload = dataclasses.asdict(report)
     if result is not None and result.witness is not None:

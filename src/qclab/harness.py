@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from . import algorithms as alg
@@ -22,10 +23,13 @@ from .algorithms import AlgorithmConstants, AlgorithmResult, DEFAULT_CONSTANTS
 from .hypergraph import (
     Hypergraph,
     PlantedTruth,
+    crossing_edges,
     gen_gnp,
     gen_planted_cut,
     gen_planted_hitting_set,
     gen_planted_packing,
+    hits_every_edge,
+    is_packing,
 )
 from .oracle import EdgeSelectionPolicy, OracleSession, QueryStats
 from .rng import derive_seed
@@ -43,47 +47,6 @@ from .solvers import (
 from .sunflowers import classify_cores
 
 CSV_HEADER = "algo,n,d,k,t,seed,bis,bise,gpis,gpise,answer,truth,success,witness_valid,elapsed_ms"
-
-# k-exponent of each algorithm's nominal query bound (log factors dropped);
-# reported next to fitted exponents in sweep summaries, never asserted.
-REFERENCE_EXPONENTS: dict[str, Callable[[int], int]] = {
-    "packing": lambda d: 2 * d,
-    "matching-promised": lambda d: 2,
-    "vc-promised": lambda d: 2,
-    "vertex-cover": lambda d: 4,
-    "vc-decision": lambda d: 8,
-    "hs-promised": lambda d: d,
-    "hitting-set": lambda d: 2 * d,
-    "hs-decision": lambda d: 2 * d * d,
-    "cut": lambda d: 4,
-    "cut-decision": lambda d: 4,
-}
-
-ALGORITHMS = (
-    "packing",
-    "packing-deterministic",
-    "matching-promised",
-    "vc-promised",
-    "vertex-cover",
-    "vc-decision",
-    "hs-promised",
-    "hitting-set",
-    "hs-decision",
-    "cut",
-    "cut-decision",
-    "cut-deterministic",
-)
-
-GRAPH_ONLY = {
-    "matching-promised",
-    "vc-promised",
-    "vertex-cover",
-    "vc-decision",
-    "cut",
-    "cut-decision",
-    "cut-deterministic",
-}
-
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -111,56 +74,24 @@ class TrialReport:
                 return "true" if x else "false"
             return str(x)
 
-        return ",".join(
-            cell(v)
-            for v in (
-                self.algo,
-                self.n,
-                self.d,
-                self.k,
-                self.t,
-                self.seed,
-                self.bis,
-                self.bise,
-                self.gpis,
-                self.gpise,
-                self.answer,
-                self.truth,
-                self.success,
-                self.witness_valid,
-                self.elapsed_ms,
-            )
-        )
+        return ",".join(cell(getattr(self, f.name)) for f in fields(self))
 
     @staticmethod
     def from_csv_row(row: str) -> "TrialReport":
         parts = next(csv.reader(io.StringIO(row)))
-        if len(parts) != 15:
-            raise ValueError(f"expected 15 columns, got {len(parts)}")
+        columns = fields(TrialReport)
+        if len(parts) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns, got {len(parts)}")
+        return TrialReport(**{f.name: _PARSE[f.type](x) for f, x in zip(columns, parts)})
 
-        def opt_int(x: str) -> Optional[int]:
-            return int(x) if x else None
 
-        def opt_bool(x: str) -> Optional[bool]:
-            return None if not x else x == "true"
-
-        return TrialReport(
-            algo=parts[0],
-            n=int(parts[1]),
-            d=int(parts[2]),
-            k=int(parts[3]),
-            t=opt_int(parts[4]),
-            seed=int(parts[5]),
-            bis=int(parts[6]),
-            bise=int(parts[7]),
-            gpis=int(parts[8]),
-            gpise=int(parts[9]),
-            answer=parts[10],
-            truth=parts[11],
-            success=opt_bool(parts[12]),
-            witness_valid=opt_bool(parts[13]),
-            elapsed_ms=int(parts[14]),
-        )
+# CSV cell parsers by TrialReport field annotation
+_PARSE: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "str": str,
+    "Optional[int]": lambda x: int(x) if x else None,
+    "Optional[bool]": lambda x: None if not x else x == "true",
+}
 
 
 def generate_instance(
@@ -178,95 +109,139 @@ def generate_instance(
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def default_instance_kind(algo: str) -> str:
-    if algo in ("packing", "packing-deterministic", "matching-promised"):
-        return "planted-packing"
-    if algo in ("cut", "cut-decision", "cut-deterministic"):
-        return "planted-cut"
-    return "planted-hs"
+Optimum = Callable[[Hypergraph, Optional[int], SolverLimits], int]
+Judge = Callable[..., tuple[str, str, Optional[bool], Optional[bool]]]
 
 
-def _truth_and_success(
-    algo: str,
-    hidden: Hypergraph,
-    k: int,
-    t: Optional[int],
-    result: AlgorithmResult,
-    limits: SolverLimits,
-) -> tuple[str, str, Optional[bool], Optional[bool]]:
-    """Recompute exact ground truth and judge the result against it."""
-    witness = result.witness
-    if algo in ("packing", "packing-deterministic"):
-        opt = len(max_set_packing(hidden, limits))
-        truth = "found" if opt >= k else "not-exists"
-        answer = "found" if result.answer else "not-exists"
-        valid = None
-        if result.answer:
-            valid = _packing_valid(witness, hidden)
-            success = truth == "found" and valid
-        else:
-            success = truth == "not-exists"
-        return answer, truth, success, valid
-    if algo == "matching-promised":
-        # promised variants always report a witness; success means it is a
-        # valid structure of exactly the hidden optimum's size
-        opt = len(max_matching(hidden, limits))
-        valid = _packing_valid(witness, hidden)
-        success = valid and len(witness) == opt
-        return "found", "found", success, valid
-    if algo in ("vc-promised", "hs-promised"):
-        opt = len(min_hitting_set(hidden, limits))
-        valid = _cover_valid(witness, hidden)
-        success = valid and len(witness) == opt
-        return "found", "found", success, valid
-    if algo in ("vertex-cover", "hitting-set"):
-        opt = len(min_hitting_set(hidden, limits))
-        truth = "found" if opt <= k else "not-exists"
-        answer = "found" if result.answer else "not-exists"
-        valid = None
-        if result.answer:
-            valid = _cover_valid(witness, hidden) and len(witness) <= k
-            success = truth == "found" and valid and len(witness) == opt
-        else:
-            success = truth == "not-exists"
-        return answer, truth, success, valid
-    if algo in ("vc-decision", "hs-decision"):
-        opt = len(min_hitting_set(hidden, limits))
-        truth = "yes" if opt <= k else "no"
+def _search_judge(optimum: Optimum, reaches, valid, exact: bool = False) -> Judge:
+    """Found / not-exists answers: the truth is whether the hidden optimum
+    reaches k; a found witness must be valid on the hidden instance and, when
+    `exact`, of optimum size."""
+
+    def judge(hidden, k, t, result, limits):
+        opt = optimum(hidden, t, limits)
+        truth = "found" if reaches(opt, k) else "not-exists"
+        if not result.answer:
+            return "not-exists", truth, truth == "not-exists", None
+        w = result.witness
+        ok = valid(w, hidden, k, t)
+        return "found", truth, truth == "found" and ok and (not exact or len(w) == opt), ok
+
+    return judge
+
+
+def _promised_judge(optimum: Optimum, valid) -> Judge:
+    """Promised variants always report a witness; success means it is a
+    valid structure of exactly the hidden optimum's size."""
+
+    def judge(hidden, k, t, result, limits):
+        opt = optimum(hidden, t, limits)
+        ok = valid(result.witness, hidden)
+        return "found", "found", ok and len(result.witness) == opt, ok
+
+    return judge
+
+
+def _decision_judge(optimum: Optimum, reaches) -> Judge:
+    def judge(hidden, k, t, result, limits):
+        truth = "yes" if reaches(optimum(hidden, t, limits), k) else "no"
         answer = "yes" if result.answer else "no"
         return answer, truth, answer == truth, None
-    if algo in ("cut", "cut-decision", "cut-deterministic"):
-        assert t is not None
-        _, opt = max_t_cut(hidden, t, limits)
-        truth = "found" if opt >= k else "not-exists"
-        if algo == "cut-decision":
-            answer = "yes" if result.answer else "no"
-            return answer, "yes" if opt >= k else "no", result.answer == (opt >= k), None
-        answer = "found" if result.answer else "not-exists"
-        valid = None
-        if result.answer:
-            crossing = sum(1 for u, v in hidden.edges if witness[u] != witness[v])
-            valid = crossing >= k and len(set(witness)) <= t
-            success = truth == "found" and valid
-        else:
-            success = truth == "not-exists"
-        return answer, truth, success, valid
-    raise ValueError(f"unknown algorithm {algo!r}")
+
+    return judge
 
 
-def _cover_valid(witness: object, hidden: Hypergraph) -> bool:
-    s = set(witness)
-    return all(s.intersection(e) for e in hidden.edges)
+def _max_packing(hidden: Hypergraph, t: Optional[int], limits: SolverLimits) -> int:
+    return len(max_set_packing(hidden, limits))
 
 
-def _packing_valid(witness: object, hidden: Hypergraph) -> bool:
-    seen: set[int] = set()
-    edge_set = set(hidden.edges)
-    for e in witness:
-        if tuple(e) not in edge_set or seen.intersection(e):
-            return False
-        seen.update(e)
-    return True
+def _max_matching(hidden: Hypergraph, t: Optional[int], limits: SolverLimits) -> int:
+    return len(max_matching(hidden, limits))
+
+
+def _min_cover(hidden: Hypergraph, t: Optional[int], limits: SolverLimits) -> int:
+    return len(min_hitting_set(hidden, limits))
+
+
+def _max_cut(hidden: Hypergraph, t: Optional[int], limits: SolverLimits) -> int:
+    return max_t_cut(hidden, t, limits)[1]
+
+
+_PACKING = _search_judge(_max_packing, operator.ge, lambda w, h, k, t: is_packing(w, h))
+_MATCHING = _promised_judge(_max_matching, is_packing)
+_PROMISED_COVER = _promised_judge(_min_cover, hits_every_edge)
+_COVER = _search_judge(
+    _min_cover, operator.le, lambda w, h, k, t: hits_every_edge(w, h) and len(w) <= k, exact=True
+)
+_COVER_DECISION = _decision_judge(_min_cover, operator.le)
+_CUT = _search_judge(
+    _max_cut, operator.ge, lambda w, h, k, t: crossing_edges(w, h) >= k and len(set(w)) <= t
+)
+_CUT_DECISION = _decision_judge(_max_cut, operator.ge)
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """Everything the harness and the CLI know about one algorithm.
+
+    `function` names it in `qclab.algorithms`; `colors` names the
+    AlgorithmConstants field that `--colors-factor` sets; `exponent(d)` is
+    the k-exponent of the nominal query bound (log factors dropped), reported
+    next to fitted exponents in sweep summaries and never asserted.
+    """
+
+    function: str
+    kind: str  # the instance kind sweeps generate
+    judge: Judge  # (hidden, k, t, result, limits) -> answer, truth, success, witness_valid
+    colors: str
+    exponent: Optional[Callable[[int], int]] = None
+    graph_only: bool = False
+    needs_t: bool = False
+    seeded: bool = True
+
+    def run(self, session, k, t, seed, constants, limits) -> AlgorithmResult:
+        fn = getattr(alg, self.function)  # looked up per call, so later wrappers apply
+        args = (session, t, k) if self.needs_t else (session, k)
+        seeded = {"seed": seed} if self.seeded else {}
+        return fn(*args, constants=constants, limits=limits, **seeded)
+
+
+_P, _H, _C = "planted-packing", "planted-hs", "planted-cut"
+ALGORITHMS: dict[str, AlgorithmSpec] = {
+    "packing": AlgorithmSpec("packing", _P, _PACKING, "pack_gamma", lambda d: 2 * d),
+    "packing-deterministic": AlgorithmSpec(
+        "packing_deterministic", _P, _PACKING, "pack_gamma", seeded=False
+    ),
+    "matching-promised": AlgorithmSpec(
+        "matching_promised", _P, _MATCHING, "match_colors_factor", lambda d: 2, graph_only=True
+    ),
+    "vc-promised": AlgorithmSpec(
+        "vc_promised", _H, _PROMISED_COVER, "vc_colors_factor", lambda d: 2, graph_only=True
+    ),
+    "vertex-cover": AlgorithmSpec(
+        "vertex_cover", _H, _COVER, "vc_colors_factor", lambda d: 4, graph_only=True
+    ),
+    "vc-decision": AlgorithmSpec(
+        "vc_decision", _H, _COVER_DECISION, "vc_decision_colors_factor", lambda d: 8,
+        graph_only=True,
+    ),
+    "hs-promised": AlgorithmSpec("hs_promised", _H, _PROMISED_COVER, "hs_beta", lambda d: d),
+    "hitting-set": AlgorithmSpec("hitting_set", _H, _COVER, "hs_beta", lambda d: 2 * d),
+    "hs-decision": AlgorithmSpec(
+        "hs_decision", _H, _COVER_DECISION, "hs_decision_gamma", lambda d: 2 * d * d
+    ),
+    "cut": AlgorithmSpec(
+        "cut", _C, _CUT, "cut_colors_factor", lambda d: 4, graph_only=True, needs_t=True
+    ),
+    "cut-decision": AlgorithmSpec(
+        "cut_decision", _C, _CUT_DECISION, "cut_colors_factor", lambda d: 4, graph_only=True,
+        needs_t=True,
+    ),
+    "cut-deterministic": AlgorithmSpec(
+        "cut_deterministic", _C, _CUT, "cut_colors_factor", graph_only=True, needs_t=True,
+        seeded=False,
+    ),
+}
 
 
 def run_algorithm(
@@ -278,36 +253,14 @@ def run_algorithm(
     constants: AlgorithmConstants = DEFAULT_CONSTANTS,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> AlgorithmResult:
-    if algo in GRAPH_ONLY and session.d != 2:
+    spec = ALGORITHMS.get(algo)
+    if spec is None:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {tuple(ALGORITHMS)}")
+    if spec.graph_only and session.d != 2:
         raise ValueError(f"{algo} needs a graph instance (d=2), got d={session.d}")
-    if algo == "packing":
-        return alg.packing(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "packing-deterministic":
-        return alg.packing_deterministic(session, k, constants=constants, limits=limits)
-    if algo == "matching-promised":
-        return alg.matching_promised(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "vc-promised":
-        return alg.vc_promised(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "vertex-cover":
-        return alg.vertex_cover(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "vc-decision":
-        return alg.vc_decision(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "hs-promised":
-        return alg.hs_promised(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "hitting-set":
-        return alg.hitting_set(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "hs-decision":
-        return alg.hs_decision(session, k, seed=seed, constants=constants, limits=limits)
-    if algo == "cut":
-        assert t is not None, "cut needs t"
-        return alg.cut(session, t, k, seed=seed, constants=constants, limits=limits)
-    if algo == "cut-decision":
-        assert t is not None, "cut needs t"
-        return alg.cut_decision(session, t, k, seed=seed, constants=constants, limits=limits)
-    if algo == "cut-deterministic":
-        assert t is not None, "cut needs t"
-        return alg.cut_deterministic(session, t, k, constants=constants, limits=limits)
-    raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    if spec.needs_t and t is None:
+        raise ValueError(f"{algo} needs t, the number of parts (--t)")
+    return spec.run(session, k, t, seed, constants, limits)
 
 
 def run_trial(
@@ -322,32 +275,25 @@ def run_trial(
     log_path: str | None = None,
 ) -> tuple[TrialReport, Optional[AlgorithmResult]]:
     """One seeded trial: run the algorithm, recompute truth, fill the report."""
-    session = OracleSession(
+    with OracleSession(
         hidden, policy=policy, policy_seed=derive_seed(seed, "policy"), log_path=log_path
-    )
-    start = time.monotonic()
-    try:
-        result = run_algorithm(
-            algo, session, k, t=t, seed=derive_seed(seed, "algo"), constants=constants,
-            limits=limits,
-        )
-    except BudgetExceeded:
+    ) as session:
+        start = time.monotonic()
+        try:
+            result: Optional[AlgorithmResult] = run_algorithm(
+                algo, session, k, t=t, seed=derive_seed(seed, "algo"), constants=constants,
+                limits=limits,
+            )
+        except BudgetExceeded:
+            result = None
         elapsed = int((time.monotonic() - start) * 1000)
         stats = session.stats()
-        session.close()
-        report = TrialReport(
-            algo=algo, n=hidden.n, d=hidden.d, k=k, t=t, seed=seed,
-            bis=stats.bis, bise=stats.bise, gpis=stats.gpis, gpise=stats.gpise,
-            answer="budget-exceeded", truth="", success=None, witness_valid=None,
-            elapsed_ms=elapsed,
+    if result is None:
+        answer, truth, success, witness_valid = "budget-exceeded", "", None, None
+    else:
+        answer, truth, success, witness_valid = ALGORITHMS[algo].judge(
+            hidden, k, t, result, limits
         )
-        return report, None
-    elapsed = int((time.monotonic() - start) * 1000)
-    session.close()
-    stats = result.stats
-    answer, truth, success, witness_valid = _truth_and_success(
-        algo, hidden, k, t, result, limits
-    )
     report = TrialReport(
         algo=algo, n=hidden.n, d=hidden.d, k=k, t=t, seed=seed,
         bis=stats.bis, bise=stats.bise, gpis=stats.gpis, gpise=stats.gpise,
@@ -382,6 +328,7 @@ class SweepConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        EdgeSelectionPolicy(self.policy)  # "lex" or "random"; anything else is a ValueError
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":
@@ -395,8 +342,9 @@ class SweepConfig:
 def _cells(config: SweepConfig):
     idx = 0
     for algo in config.algorithms:
-        ds = [2] if algo in GRAPH_ONLY else config.d
-        ts = config.t if algo.startswith("cut") else [None]
+        spec = ALGORITHMS[algo]
+        ds = [2] if spec.graph_only else config.d
+        ts = config.t if spec.needs_t else [None]
         for d in ds:
             for n in config.n:
                 for k in config.k:
@@ -417,15 +365,11 @@ def _default_edge_count(kind: str, n: int, d: int, k: int) -> int:
 def run_sweep(config: SweepConfig) -> tuple[list[TrialReport], dict]:
     """Run every cell of the grid; return all reports plus a summary dict."""
     constants = DEFAULT_CONSTANTS.override(**config.constants)
-    policy = (
-        EdgeSelectionPolicy.LEXICOGRAPHIC
-        if config.policy == "lex"
-        else EdgeSelectionPolicy.UNIFORM_RANDOM
-    )
+    policy = EdgeSelectionPolicy(config.policy)
     reports: list[TrialReport] = []
     cells: dict[str, dict] = {}
     for idx, algo, n, d, k, t, m, extra in _cells(config):
-        kind = default_instance_kind(algo)
+        kind = ALGORITHMS[algo].kind
         m_eff = m if m else _default_edge_count(kind, n, d, k)
         cell_key = f"{algo}|n={n}|d={d}|k={k}|t={t}"
         cell_reports = []
@@ -482,7 +426,7 @@ def _fit_exponents(cells: dict[str, dict]) -> dict[str, dict]:
     fits = {}
     for (algo, d), points in sorted(groups.items()):
         ks = sorted({k for k, _ in points})
-        ref = REFERENCE_EXPONENTS.get(algo)
+        ref = ALGORITHMS[algo].exponent
         entry: dict[str, object] = {
             "reference_exponent": ref(d) if ref else None,
             "fitted_exponent": None,
@@ -543,23 +487,28 @@ def verify_instance(
         lambda: len(representative_family(hidden, k, limits, guard=guard)),
     )
     out["representative_family_bound"] = math.comb(k + hidden.d, hidden.d)
-    report = classify_cores(hidden, k, limits)
+    try:
+        report = classify_cores(hidden, k, limits)
+    except (BudgetExceeded, ValueError) as exc:
+        skipped = f"skipped:{exc}"
+        out["core_report"] = out["bound_edges_without_large_core"] = skipped
+        out["bound_minimal_large_cores"] = skipped
+        return out
     out["core_report"] = report.to_json()
     hs = out.get("min_hitting_set")
     d = hidden.d
     if isinstance(hs, list) and len(hs) <= k:
-        out["bound_edges_without_large_core"] = {
-            "value": len(report.edges_without_large_core),
-            "limit": math.factorial(d) * (10 * d * k) ** d,
-            "ok": len(report.edges_without_large_core)
-            <= math.factorial(d) * (10 * d * k) ** d,
-        }
-        out["bound_minimal_large_cores"] = {
-            "value": len(report.minimal_large_cores),
-            "limit": math.factorial(d - 1) * k ** (d - 1),
-            "ok": len(report.minimal_large_cores) <= math.factorial(d - 1) * k ** (d - 1),
-        }
+        out["bound_edges_without_large_core"] = _bound(
+            len(report.edges_without_large_core), math.factorial(d) * (10 * d * k) ** d
+        )
+        out["bound_minimal_large_cores"] = _bound(
+            len(report.minimal_large_cores), math.factorial(d - 1) * k ** (d - 1)
+        )
     else:
         out["bound_edges_without_large_core"] = "hypothesis not met (hitting set > k)"
         out["bound_minimal_large_cores"] = "hypothesis not met (hitting set > k)"
     return out
+
+
+def _bound(value: int, limit: int) -> dict:
+    return {"value": value, "limit": limit, "ok": value <= limit}

@@ -91,6 +91,28 @@ def union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     return Hypergraph(n=a.n, d=a.d, edges=tuple(sorted(set(a.edges) | set(b.edges))))
 
 
+def hits_every_edge(vertices: Iterable[int], h: Hypergraph) -> bool:
+    """Whether the vertex set meets every edge (a hitting set / vertex cover)."""
+    s = set(vertices)
+    return all(s.intersection(e) for e in h.edges)
+
+
+def is_packing(edges: Iterable[Sequence[int]], h: Hypergraph) -> bool:
+    """Whether the given edges are pairwise-disjoint edges of h."""
+    seen: set[int] = set()
+    edge_set = set(h.edges)
+    for e in edges:
+        if tuple(e) not in edge_set or seen.intersection(e):
+            return False
+        seen.update(e)
+    return True
+
+
+def crossing_edges(parts: Sequence[int], g: Hypergraph) -> int:
+    """Edges of a graph whose endpoints lie in different parts (parts[v] is v's part)."""
+    return sum(1 for u, v in g.edges if parts[u] != parts[v])
+
+
 @dataclass(frozen=True)
 class PlantedTruth:
     """Ground-truth bookkeeping attached to a planted instance.
@@ -107,21 +129,11 @@ class PlantedTruth:
 
     def validate(self, h: Hypergraph) -> bool:
         if self.kind == "hitting-set":
-            s = set(self.witness)
-            return all(s.intersection(e) for e in h.edges)
+            return hits_every_edge(self.witness, h)
         if self.kind == "packing":
-            seen: set[int] = set()
-            for e in self.witness:
-                if tuple(e) not in h.edges or seen.intersection(e):
-                    return False
-                seen.update(e)
-            return len(self.witness) >= self.k
+            return is_packing(self.witness, h) and len(self.witness) >= self.k
         if self.kind == "cut":
-            parts = self.witness
-            if len(parts) != h.n:
-                return False
-            crossing = sum(1 for u, v in h.edges if parts[u] != parts[v])
-            return crossing >= self.k
+            return len(self.witness) == h.n and crossing_edges(self.witness, h) >= self.k
         raise ValueError(f"unknown planted kind {self.kind!r}")
 
     def to_json(self) -> dict:

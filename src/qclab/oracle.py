@@ -35,6 +35,9 @@ from .rng import mix_choice
 # beats scanning the whole edge list
 _PRODUCT_CUTOFF = 32
 
+# query kinds in counter order
+_KINDS = ("bis", "bise", "gpis", "gpise")
+
 
 class EdgeSelectionPolicy(Enum):
     LEXICOGRAPHIC = "lex"
@@ -103,67 +106,55 @@ class OracleSession:
             self._log.close()
             self._log = None
 
+    def __enter__(self) -> "OracleSession":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def stats(self) -> QueryStats:
         c = self._counts
         return QueryStats(bis=c[0], bise=c[1], gpis=c[2], gpise=c[3])
 
     # -- query kinds ---------------------------------------------------
 
-    def gpis(self, parts: Sequence[Iterable[int]]) -> bool:
-        d = self._d
-        seen = self._validate(parts, d)
-        self._counts[2] += 1
-        if len(seen) == d:  # all parts are singletons
-            ans = tuple(sorted(seen)) in self._edge_set
-        else:
-            ans = self._exists(parts)
-        if self._log is not None:
-            self._write_log("gpis", parts, "yes" if ans else "no")
-        return ans
-
-    def gpise(self, parts: Sequence[Iterable[int]]) -> Optional[Edge]:
-        d = self._d
-        seen = self._validate(parts, d)
-        self._counts[3] += 1
-        if len(seen) == d:
-            key = tuple(sorted(seen))
-            edge = key if key in self._edge_set else None
-        else:
-            edge = self._select(parts, sum(self._counts) - 1)
-        if self._log is not None:
-            self._write_log("gpise", parts, "null" if edge is None else ",".join(map(str, edge)))
-        return edge
-
     def bis(self, a: Iterable[int], b: Iterable[int]) -> bool:
-        if self._d != 2:
-            raise ValueError(f"bis requires a hidden graph (d=2), have d={self._d}")
-        parts = (a, b)
-        seen = self._validate(parts, 2)
-        self._counts[0] += 1
-        if len(seen) == 2:
-            ans = tuple(sorted(seen)) in self._edge_set
-        else:
-            ans = self._exists(parts)
-        if self._log is not None:
-            self._write_log("bis", parts, "yes" if ans else "no")
-        return ans
+        return self._ask(0, (a, b), 2)
 
     def bise(self, a: Iterable[int], b: Iterable[int]) -> Optional[Edge]:
-        if self._d != 2:
-            raise ValueError(f"bise requires a hidden graph (d=2), have d={self._d}")
-        parts = (a, b)
-        seen = self._validate(parts, 2)
-        self._counts[1] += 1
-        if len(seen) == 2:
-            key = tuple(sorted(seen))
-            edge = key if key in self._edge_set else None
-        else:
-            edge = self._select(parts, sum(self._counts) - 1)
-        if self._log is not None:
-            self._write_log("bise", parts, "null" if edge is None else ",".join(map(str, edge)))
-        return edge
+        return self._ask(1, (a, b), 2)
+
+    def gpis(self, parts: Sequence[Iterable[int]]) -> bool:
+        return self._ask(2, parts, self._d)
+
+    def gpise(self, parts: Sequence[Iterable[int]]) -> Optional[Edge]:
+        return self._ask(3, parts, self._d)
 
     # -- internals -----------------------------------------------------
+
+    def _ask(self, kind: int, parts: Sequence[Iterable[int]], d: int):
+        """The one query path: check, count, answer, log. `kind` indexes
+        _KINDS; odd kinds are witness queries (an edge or None), even kinds
+        existence queries (a bool). `d` is the number of parts the kind takes."""
+        if d != self._d:
+            raise ValueError(f"{_KINDS[kind]} requires a hidden graph (d=2), have d={self._d}")
+        seen = self._validate(parts, d)
+        self._counts[kind] += 1
+        witness = kind & 1
+        if len(seen) == d:  # all parts are singletons: one set lookup
+            key = tuple(sorted(seen))
+            answer = (key if key in self._edge_set else None) if witness else key in self._edge_set
+        elif witness:
+            answer = self._select(parts, sum(self._counts) - 1)
+        else:
+            answer = bool(self._candidates(parts))
+        if self._log is not None:
+            if witness:
+                text = "null" if answer is None else ",".join(map(str, answer))
+            else:
+                text = "yes" if answer else "no"
+            self._write_log(_KINDS[kind], parts, text)
+        return answer
 
     def _validate(self, parts: Sequence[Iterable[int]], d: int) -> set[int]:
         """Reject malformed parts before any counter moves; return their union."""
@@ -190,18 +181,6 @@ class OracleSession:
             if size > _PRODUCT_CUTOFF:
                 return size
         return size
-
-    def _exists(self, parts: Sequence[Iterable[int]]) -> bool:
-        if not self._edge_set:
-            return False
-        if self._product_size(parts) <= _PRODUCT_CUTOFF:
-            d = self._d
-            edge_set = self._edge_set
-            for tup in itertools.product(*parts):
-                if len(set(tup)) == d and tuple(sorted(tup)) in edge_set:
-                    return True
-            return False
-        return bool(self._qualify_mask(parts).any())
 
     def _candidates(self, parts: Sequence[Iterable[int]]) -> list[Edge]:
         """All hidden edges qualifying for the parts, in canonical order."""

@@ -473,3 +473,38 @@ def test_policy_robustness(name, runner, make, constants):
     lex, rnd = rates.values()
     assert abs(lex - rnd) <= 0.05, f"{name}: lex={lex:.2f} random={rnd:.2f}"
     assert lex >= 0.9 and rnd >= 0.9, f"{name}: rates unexpectedly low"
+
+
+# -- argument checks and k = 0 -----------------------------------------------
+
+
+@pytest.mark.parametrize("d, decide", [(2, vc_decision), (3, hs_decision)])
+def test_decision_k0_rejects_nonempty_instance(d, decide):
+    # k = 0 is "yes" only for an edgeless instance; one color would hide every edge
+    h, _ = gen_planted_hitting_set(12, d, 2, 10, seed=40 + d)
+    s = fresh(h)
+    r = decide(s, 0, seed=1)
+    assert r.answer is False
+    assert total_queries(s.stats()) == sum(r.query_counts_by_round(d)) > 0
+
+
+def test_vertex_cover_rejects_hypergraph_before_any_query():
+    h, _ = gen_planted_hitting_set(10, 3, 2, 15, seed=42)
+    s = fresh(h)
+    with pytest.raises(ValueError, match="d=2"):
+        vertex_cover(s, 2, seed=0)
+    assert total_queries(s.stats()) == 0
+
+
+def test_vc_decision_tied_vote_resolves_to_no():
+    from qclab.sampler import quotient_existence
+    from qclab.solvers import min_vertex_cover
+
+    h, _ = gen_planted_hitting_set(12, 2, 3, 14, seed=0)
+    constants = AlgorithmConstants(vc_decision_colors_factor=1, boost_c=2)  # 2 rounds, 16 colors
+    r = vc_decision(fresh(h), 2, seed=0, constants=constants)
+    votes = [
+        len(min_vertex_cover(quotient_existence(fresh(h), c).graph)) <= 2 for c in r.colorings
+    ]
+    assert votes.count(True) == 1 and len(votes) == 2
+    assert r.answer is False

@@ -229,3 +229,76 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "sweep" in proc.stdout
+
+
+# -- clean errors and closed files -------------------------------------------
+
+
+def test_run_trial_cut_without_t_is_a_value_error():
+    h, _ = generate_instance("planted-cut", n=12, d=2, k=3, seed=1, t=2)
+    with pytest.raises(ValueError, match="needs t"):
+        run_trial("cut", h, 3)
+
+
+def test_cli_run_cut_without_t_reports_error_line(tmp_path, capsys):
+    inst = tmp_path / "c.hg"
+    cli_main(["gen", "planted-cut", "--n", "12", "--t", "2", "--k", "3", "--seed", "1",
+              "-o", str(inst)])
+    capsys.readouterr()
+    rc = cli_main(["run", "cut", str(inst), "--k", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "needs t" in err
+
+
+def test_query_log_closed_when_trial_raises(tmp_path, monkeypatch):
+    import qclab.oracle
+
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        handles.append(fh)
+        return fh
+
+    monkeypatch.setattr(qclab.oracle, "open", recording_open, raising=False)
+    h, _ = gen_planted_hitting_set(10, 3, 2, 15, seed=1)
+    with pytest.raises(ValueError):
+        run_trial("cut", h, 2, t=2, log_path=str(tmp_path / "q.log"))
+    assert len(handles) == 1 and handles[0].closed
+
+
+def test_verify_instance_core_budget_is_reported_not_raised():
+    h, _ = gen_planted_hitting_set(18, 3, 2, 30, seed=6)
+    out = verify_instance(h, 2, limits=SolverLimits(max_branch_nodes=1))
+    for key in ("core_report", "bound_edges_without_large_core", "bound_minimal_large_cores"):
+        assert out[key].startswith("skipped:")
+
+
+def test_cli_colors_factor_reaches_the_algorithm_it_runs(tmp_path, capsys):
+    inst = tmp_path / "c.hg"
+    cli_main(["gen", "planted-cut", "--n", "20", "--t", "2", "--k", "3", "--seed", "1",
+              "-o", str(inst)])
+    capsys.readouterr()
+    base = ["run", "cut", str(inst), "--k", "3", "--t", "2", "--seed", "1"]
+    assert cli_main(base) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli_main(base + ["--colors-factor", "3"]) == 0
+    scaled = json.loads(capsys.readouterr().out)
+    # 3 * k^2 = 27 colors over 20 vertices collide; 100 * k^2 = 900 colors do not
+    assert 0 < scaled["bise"] < plain["bise"]
+
+
+def test_cli_colors_factor_conflicting_with_gamma_is_an_error(tmp_path, capsys):
+    inst = tmp_path / "p.hg"
+    cli_main(["gen", "planted-packing", "--n", "12", "--k", "2", "--seed", "1", "-o", str(inst)])
+    capsys.readouterr()
+    rc = cli_main(["run", "packing", str(inst), "--k", "2", "--gamma", "5",
+                   "--colors-factor", "6"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "pack_gamma" in err
+    # the same value twice is no conflict
+    assert cli_main(["run", "packing", str(inst), "--k", "2", "--gamma", "5",
+                     "--colors-factor", "5"]) == 0
+    capsys.readouterr()
