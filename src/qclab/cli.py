@@ -22,23 +22,6 @@ from .oracle import EdgeSelectionPolicy
 from .solvers import DEFAULT_LIMITS, SolverLimits
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--policy", choices=("lex", "random"), default="lex",
-                   help="which qualifying edge witness queries return")
-    p.add_argument("--boost-c", type=int, default=None, help="rounds per unit of log k")
-    p.add_argument("--gamma", type=int, default=None,
-                   help="color multiplier for packing / decision hitting set")
-    p.add_argument("--alpha", type=int, default=None, help="hitting-set round multiplier")
-    p.add_argument("--beta", type=int, default=None, help="hitting-set color multiplier")
-    p.add_argument("--colors-factor", type=int, default=None,
-                   help="color multiplier of the algorithm being run (see README)")
-    p.add_argument("--budget-ms", type=int, default=None, help="solver time budget")
-    p.add_argument("--log-queries", metavar="PATH", default=None,
-                   help="write one line per oracle call to PATH")
-    p.add_argument("-o", "--output", metavar="PATH", default=None)
-
-
 def _constants_from_args(args: argparse.Namespace, algo: str):
     """Constant overrides from the flags; `--colors-factor` sets the color
     constant of the algorithm being run (its registry entry names it)."""
@@ -143,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, default=0, help="edge count (planted-hs, gnp)")
     g.add_argument("--extra", type=int, default=0, help="extra edges (planted-packing)")
     g.add_argument("--t", type=int, default=2, help="parts (planted-cut)")
-    _add_common(g)
+    g.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    g.add_argument("-o", "--output", metavar="PATH", default=None)
     g.set_defaults(fn=cmd_gen)
 
     r = sub.add_parser("run", help="run one algorithm trial against an instance file")
@@ -151,19 +135,34 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("instance")
     r.add_argument("--k", type=int, required=True)
     r.add_argument("--t", type=int, default=None)
-    _add_common(r)
+    r.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    r.add_argument("--policy", choices=("lex", "random"), default="lex",
+                   help="which qualifying edge witness queries return")
+    r.add_argument("--boost-c", type=int, default=None, help="rounds per unit of log k")
+    r.add_argument("--gamma", type=int, default=None,
+                   help="color multiplier for packing / decision hitting set")
+    r.add_argument("--alpha", type=int, default=None, help="hitting-set round multiplier")
+    r.add_argument("--beta", type=int, default=None, help="hitting-set color multiplier")
+    r.add_argument("--colors-factor", type=int, default=None,
+                   help="color multiplier of the algorithm being run (see README)")
+    r.add_argument("--budget-ms", type=int, default=None, help="solver time budget")
+    r.add_argument("--log-queries", metavar="PATH", default=None,
+                   help="write one line per oracle call to PATH")
+    r.add_argument("-o", "--output", metavar="PATH", default=None, help="also write a CSV row")
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sweep", help="run a JSON-configured grid of trials")
     s.add_argument("config")
-    _add_common(s)
+    s.add_argument("-o", "--output", metavar="PATH", default=None,
+                   help="CSV path, in place of the config's csv_path")
     s.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("verify", help="exact optima and structural checks for an instance")
     v.add_argument("instance")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--t", type=int, default=2)
-    _add_common(v)
+    v.add_argument("--budget-ms", type=int, default=None, help="solver time budget")
+    v.add_argument("-o", "--output", metavar="PATH", default=None)
     v.set_defaults(fn=cmd_verify)
     return parser
 

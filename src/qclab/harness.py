@@ -374,22 +374,30 @@ def run_sweep(config: SweepConfig) -> tuple[list[TrialReport], dict]:
         cell_key = f"{algo}|n={n}|d={d}|k={k}|t={t}"
         cell_reports = []
         failures = 0
+        messages: set[str] = set()
         for trial in range(config.trials):
             seed = derive_seed(config.master_seed, "cell", idx, "trial", trial)
             try:
                 hidden, _ = generate_instance(
                     kind, n=n, d=d, k=k, seed=seed, m=m_eff, extra=extra, t=t or 2
                 )
-                report, _ = run_trial(
-                    algo, hidden, k, t=t, seed=seed, constants=constants, policy=policy
-                )
-            except (ValueError, BudgetExceeded) as exc:
-                failures += 1
+            except ValueError as exc:  # the generator cannot build this instance
+                answer, message = "infeasible", str(exc)
+            else:
+                try:
+                    report, _ = run_trial(
+                        algo, hidden, k, t=t, seed=seed, constants=constants, policy=policy
+                    )
+                    answer = None
+                except (ValueError, BudgetExceeded) as exc:
+                    failures += 1
+                    answer, message = f"error:{type(exc).__name__}", str(exc)
+            if answer is not None:
+                messages.add(f"{answer}: {message}")
                 report = TrialReport(
                     algo=algo, n=n, d=d, k=k, t=t, seed=seed,
                     bis=0, bise=0, gpis=0, gpise=0,
-                    answer=f"error:{type(exc).__name__}", truth="", success=None,
-                    witness_valid=None, elapsed_ms=0,
+                    answer=answer, truth="", success=None, witness_valid=None, elapsed_ms=0,
                 )
             cell_reports.append(report)
             reports.append(report)
@@ -399,6 +407,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[TrialReport], dict]:
             "algo": algo, "n": n, "d": d, "k": k, "t": t,
             "trials": len(cell_reports),
             "errors": failures + sum(1 for r in cell_reports if r.answer == "budget-exceeded"),
+            "infeasible": sum(1 for r in cell_reports if r.answer == "infeasible"),
+            "messages": sorted(messages),
             "success_rate": (
                 sum(1 for r in ok if r.success) / len(ok) if ok else None
             ),

@@ -8,11 +8,18 @@ only access is through four query kinds, each with its own counter:
 - ``bis(a, b)`` / ``bise(a, b)`` -> the two-set specializations, valid only
   when the hidden arity is 2.
 
-Parts must be pairwise disjoint, non-empty, and in range; invalid calls are
-rejected before any counter moves. An edge qualifies when its vertices can be
-matched one-to-one onto the parts; because parts are disjoint each vertex
-lies in at most one part, so the matching test reduces to "the d vertices
-cover all d parts exactly once".
+Parts must be pairwise disjoint, non-empty, integer-valued and in range;
+invalid calls are rejected before any counter moves. An edge qualifies when
+its vertices can be matched one-to-one onto the parts; because parts are
+disjoint each vertex lies in at most one part, so the matching test reduces
+to "the d vertices cover all d parts exactly once".
+
+``ask_all(witness, sets)`` asks one query per d-tuple of q disjoint sets (a
+coloring's classes) at once. Every edge qualifies for at most one tuple, the
+tuple of the sets its vertices lie in, so a single pass over the edges
+answers all C(q, d) of them. The four endpoints are that same pass at q = d:
+counters, witnesses, random-policy call indices and log lines are identical
+whether the tuples are asked together or one by one.
 
 Which qualifying edge a witness query returns is a policy: ``LEXICOGRAPHIC``
 (the globally smallest in canonical order, the reproducible default) or
@@ -22,6 +29,7 @@ Which qualifying edge a witness query returns is a policy: ``LEXICOGRAPHIC``
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Optional, Sequence
@@ -30,10 +38,6 @@ import numpy as np
 
 from .hypergraph import Edge, Hypergraph
 from .rng import mix_choice
-
-# below this many candidate assignments, enumerating the part cross product
-# beats scanning the whole edge list
-_PRODUCT_CUTOFF = 32
 
 # query kinds in counter order
 _KINDS = ("bis", "bise", "gpis", "gpise")
@@ -84,13 +88,7 @@ class OracleSession:
         self.policy = policy
         self.policy_seed = int(policy_seed)
         self._counts = [0, 0, 0, 0]  # bis, bise, gpis, gpise
-        self._edge_set = set(hidden.edges)
-        self._edge_list = hidden.edges
-        if hidden.m:
-            self._edge_mat = np.asarray(hidden.edges, dtype=np.int64)
-        else:
-            self._edge_mat = None
-        self._arange_d = np.arange(hidden.d, dtype=np.int64)
+        self._edge_mat = np.asarray(hidden.edges, dtype=np.int64).reshape(-1, hidden.d)
         self._log: Optional[IO[str]] = open(log_path, "w", encoding="utf-8") if log_path else None
 
     @property
@@ -130,39 +128,32 @@ class OracleSession:
     def gpise(self, parts: Sequence[Iterable[int]]) -> Optional[Edge]:
         return self._ask(3, parts, self._d)
 
+    def ask_all(self, witness: bool, sets: Sequence[Iterable[int]]) -> dict:
+        """One query per d-tuple of the pairwise-disjoint `sets`, in
+        itertools.combinations order: witness queries (bise, or gpise when
+        d > 2) or existence queries (bis / gpis). Costs C(len(sets), d) on
+        that kind's counter. Returns the non-empty answers keyed by the
+        tuple of set indices: the witness edge, or True."""
+        self._validate(sets)
+        return self._run((0 if self._d == 2 else 2) + bool(witness), sets)
+
     # -- internals -----------------------------------------------------
 
     def _ask(self, kind: int, parts: Sequence[Iterable[int]], d: int):
-        """The one query path: check, count, answer, log. `kind` indexes
-        _KINDS; odd kinds are witness queries (an edge or None), even kinds
-        existence queries (a bool). `d` is the number of parts the kind takes."""
+        """One query of `kind` (an index into _KINDS; odd kinds are witness
+        queries, even kinds existence queries) on `d` parts."""
         if d != self._d:
             raise ValueError(f"{_KINDS[kind]} requires a hidden graph (d=2), have d={self._d}")
-        seen = self._validate(parts, d)
-        self._counts[kind] += 1
-        witness = kind & 1
-        if len(seen) == d:  # all parts are singletons: one set lookup
-            key = tuple(sorted(seen))
-            answer = (key if key in self._edge_set else None) if witness else key in self._edge_set
-        elif witness:
-            answer = self._select(parts, sum(self._counts) - 1)
-        else:
-            answer = bool(self._candidates(parts))
-        if self._log is not None:
-            if witness:
-                text = "null" if answer is None else ",".join(map(str, answer))
-            else:
-                text = "yes" if answer else "no"
-            self._write_log(_KINDS[kind], parts, text)
-        return answer
-
-    def _validate(self, parts: Sequence[Iterable[int]], d: int) -> set[int]:
-        """Reject malformed parts before any counter moves; return their union."""
         if len(parts) != d:
             raise ValueError(f"expected {d} parts, got {len(parts)}")
+        self._validate(parts)
+        return self._run(kind, parts).get(tuple(range(d)), None if kind & 1 else False)
+
+    def _validate(self, sets: Sequence[Iterable[int]]) -> None:
+        """Reject malformed sets before any counter moves."""
         total = 0
         seen: set[int] = set()
-        for p in parts:
+        for p in sets:
             lp = len(p)  # type: ignore[arg-type]
             if not lp:
                 raise ValueError("parts must be non-empty")
@@ -170,52 +161,51 @@ class OracleSession:
             seen.update(p)
         if len(seen) != total:
             raise ValueError("parts must be pairwise disjoint (and duplicate-free)")
-        if min(seen) < 0 or max(seen) >= self._n:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in seen):
+            raise ValueError("part vertices must be integers")
+        if seen and (min(seen) < 0 or max(seen) >= self._n):
             raise ValueError(f"part vertex outside [0, {self._n})")
-        return seen
 
-    def _product_size(self, parts: Sequence[Iterable[int]]) -> int:
-        size = 1
-        for p in parts:
-            size *= len(p)  # type: ignore[arg-type]
-            if size > _PRODUCT_CUTOFF:
-                return size
-        return size
+    def _run(self, kind: int, sets: Sequence[Iterable[int]]) -> dict:
+        """The one evaluation path: answer every d-tuple of the validated
+        `sets` as a query of `kind`, count and log each, and return the
+        non-empty answers keyed by index tuple."""
+        d, q = self._d, len(sets)
+        base = sum(self._counts)  # call index of the first tuple
+        self._counts[kind] += math.comb(q, d)
+        set_of = np.full(self._n, -1, dtype=np.int64)
+        for i, s in enumerate(sets):
+            set_of[list(s)] = i
+        rows = np.sort(set_of[self._edge_mat], axis=1)
+        # an edge qualifies for the tuple of its sets when they are d distinct sets
+        keep = (rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)
+        groups: dict[tuple[int, ...], list[Edge]] = {}
+        edges = self._hidden.edges
+        for i, row in zip(np.flatnonzero(keep).tolist(), rows[keep].tolist()):
+            groups.setdefault(tuple(row), []).append(edges[i])
+        witness = kind & 1
+        if not witness:
+            answers: dict = dict.fromkeys(groups, True)
+        elif self.policy is EdgeSelectionPolicy.LEXICOGRAPHIC:
+            answers = {t: found[0] for t, found in groups.items()}
+        else:
+            answers = {
+                t: found[mix_choice(self.policy_seed, base + _rank(t, q), len(found))]
+                for t, found in groups.items()
+            }
+        if self._log is not None:
+            texts = [",".join(map(str, sorted(s))) for s in sets]
+            for t in itertools.combinations(range(q), d):
+                answer = answers.get(t)
+                if witness:
+                    text = "null" if answer is None else ",".join(map(str, answer))
+                else:
+                    text = "yes" if answer else "no"
+                self._log.write(f"{_KINDS[kind]}|{';'.join(texts[i] for i in t)}|{text}\n")
+        return answers
 
-    def _candidates(self, parts: Sequence[Iterable[int]]) -> list[Edge]:
-        """All hidden edges qualifying for the parts, in canonical order."""
-        if not self._edge_set:
-            return []
-        if self._product_size(parts) <= _PRODUCT_CUTOFF:
-            d = self._d
-            edge_set = self._edge_set
-            found = set()
-            for tup in itertools.product(*parts):
-                if len(set(tup)) == d:
-                    key = tuple(sorted(tup))
-                    if key in edge_set:
-                        found.add(key)
-            return sorted(found)
-        mask = self._qualify_mask(parts)
-        return [self._edge_list[i] for i in np.flatnonzero(mask)]
 
-    def _qualify_mask(self, parts: Sequence[Iterable[int]]) -> np.ndarray:
-        part_of = np.full(self._n, -1, dtype=np.int64)
-        for i, p in enumerate(parts):
-            part_of[list(p)] = i
-        pid = part_of[self._edge_mat]
-        # a row qualifies when its part ids are a permutation of 0..d-1
-        return (pid >= 0).all(axis=1) & (np.sort(pid, axis=1) == self._arange_d).all(axis=1)
-
-    def _select(self, parts: Sequence[Iterable[int]], call_index: int) -> Optional[Edge]:
-        candidates = self._candidates(parts)
-        if not candidates:
-            return None
-        if self.policy is EdgeSelectionPolicy.LEXICOGRAPHIC:
-            return candidates[0]
-        return candidates[mix_choice(self.policy_seed, call_index, len(candidates))]
-
-    def _write_log(self, kind: str, parts: Sequence[Iterable[int]], answer: str) -> None:
-        body = ";".join(",".join(map(str, sorted(p))) for p in parts)
-        assert self._log is not None
-        self._log.write(f"{kind}|{body}|{answer}\n")
+def _rank(combo: tuple[int, ...], q: int) -> int:
+    """Position of `combo` in itertools.combinations(range(q), len(combo))."""
+    d = len(combo)
+    return math.comb(q, d) - 1 - sum(math.comb(q - 1 - c, d - i) for i, c in enumerate(combo))

@@ -4,15 +4,13 @@ A single sample fixes a coloring, then asks one witness query per d-tuple of
 non-empty color classes (ascending color order) and collects the returned
 edges into a sub-hypergraph on the original vertex set. Only non-empty
 classes are queried, so a sample costs exactly C(q, d) queries where q is
-the number of non-empty classes -- never more than min(b, n).
-
-On graphs (d=2) the primitives route through the two-set oracle endpoints,
-which are the same queries under their specialized name and counter.
+the number of non-empty classes -- never more than min(b, n). The oracle
+answers all tuples of a coloring in one `ask_all` call, counted as bise/bis
+on graphs (d=2) and gpise/gpis above.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,24 +46,13 @@ def sample_subhypergraph(session: OracleSession, c: HashColoring) -> SampledSubg
     """One sample: C(q, d) witness queries over the coloring's class tuples."""
     if c.n != session.n:
         raise ValueError(f"coloring is over {c.n} vertices, hidden instance has {session.n}")
-    d = session.d
     sets = classes(c).vertex_sets()
-    found: set[Edge] = set()
-    spent = math.comb(len(sets), d)
-    if d == 2:
-        bise = session.bise
-        for a, b in itertools.combinations(sets, 2):
-            e = bise(a, b)
-            if e is not None:
-                found.add(e)
-    else:
-        gpise = session.gpise
-        for parts in itertools.combinations(sets, d):
-            e = gpise(parts)
-            if e is not None:
-                found.add(e)
-    graph = Hypergraph(n=session.n, d=d, edges=tuple(sorted(found)))
-    return SampledSubgraph(graph=graph, provenance=(c,), queries_spent=spent)
+    # each edge answers at most one class tuple, so the witnesses are distinct
+    found = sorted(session.ask_all(True, sets).values())
+    graph = Hypergraph(n=session.n, d=session.d, edges=tuple(found))
+    return SampledSubgraph(
+        graph=graph, provenance=(c,), queries_spent=math.comb(len(sets), session.d)
+    )
 
 
 def sample_union(session: OracleSession, b: int, t: int, seed: int) -> SampledSubgraph:
@@ -93,23 +80,10 @@ def quotient_existence(session: OracleSession, c: HashColoring) -> QuotientInsta
     """Existence-query quotient: C(q, d) yes/no queries over class tuples."""
     if c.n != session.n:
         raise ValueError(f"coloring is over {c.n} vertices, hidden instance has {session.n}")
-    d = session.d
     cls = classes(c)
-    sets = cls.vertex_sets()
-    q = len(sets)
-    edges: list[tuple[int, ...]] = []
-    if d == 2:
-        bis = session.bis
-        for i, j in itertools.combinations(range(q), 2):
-            if bis(sets[i], sets[j]):
-                edges.append((i, j))
-    else:
-        gpis = session.gpis
-        for combo in itertools.combinations(range(q), d):
-            if gpis(tuple(sets[i] for i in combo)):
-                edges.append(combo)
+    edges = sorted(session.ask_all(False, cls.vertex_sets()))
     # quotient on at least one vertex even if the coloring is degenerate
-    graph = Hypergraph(n=max(q, 1), d=d, edges=tuple(sorted(edges)))
+    graph = Hypergraph(n=max(len(cls), 1), d=session.d, edges=tuple(edges))
     position = {col: idx for idx, (col, _) in enumerate(cls.classes)}
     class_map = tuple(position[col] for col in c.color)
     return QuotientInstance(graph=graph, class_map=class_map)

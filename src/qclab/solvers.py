@@ -109,8 +109,14 @@ def _min_hs(edges: list[Edge], search: _Search) -> tuple[int, ...]:
     budget = size
     prev = -1
     while rem:
-        for v in sorted({v for e in rem for v in e}):
-            if v <= prev:
+        degree: dict[int, int] = {}
+        for e in rem:
+            for v in e:
+                degree[v] = degree.get(v, 0) + 1
+        # budget - 1 vertices hit at most (budget - 1) * max degree edges
+        reach = (budget - 1) * max(degree.values())
+        for v in sorted(degree):
+            if v <= prev or len(rem) - degree[v] > reach:
                 continue
             rest = [f for f in rem if v not in f]
             if _hs_within(rest, budget - 1, search) is not None:

@@ -302,3 +302,40 @@ def test_cli_colors_factor_conflicting_with_gamma_is_an_error(tmp_path, capsys):
     assert cli_main(["run", "packing", str(inst), "--k", "2", "--gamma", "5",
                      "--colors-factor", "5"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_tells_infeasible_instances_from_run_failures(monkeypatch):
+    # 50 distinct 3-edges meeting a 1-set do not exist on 5 vertices
+    cfg = dict(algorithms=["hs-promised"], n=[5], d=[3], k=[1], m=[50], trials=2)
+    reports, summary = run_sweep(SweepConfig(**cfg))
+    assert [r.answer for r in reports] == ["infeasible", "infeasible"]
+    (cell,) = summary["cells"].values()
+    assert (cell["infeasible"], cell["errors"], cell["success_rate"]) == (2, 0, None)
+    assert len(cell["messages"]) == 1
+    assert cell["messages"][0].startswith("infeasible: cannot place 50 distinct edges")
+
+    import qclab.harness
+
+    def failing_trial(*args, **kwargs):
+        raise ValueError("algorithm broke")
+
+    monkeypatch.setattr(qclab.harness, "run_trial", failing_trial)
+    cfg.update(n=[8], m=[6])
+    reports, summary = run_sweep(SweepConfig(**cfg))
+    assert [r.answer for r in reports] == ["error:ValueError", "error:ValueError"]
+    (cell,) = summary["cells"].values()
+    assert (cell["infeasible"], cell["errors"]) == (0, 2)
+    assert cell["messages"] == ["error:ValueError: algorithm broke"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "cfg.json", "--seed", "99"],
+    ["sweep", "cfg.json", "--policy", "random"],
+    ["gen", "gnp", "--n", "5", "--budget-ms", "10"],
+    ["verify", "i.hg", "--k", "1", "--seed", "1"],
+])
+def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

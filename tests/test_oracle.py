@@ -1,8 +1,15 @@
+import itertools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qclab.coloring import HashColoring, classes
 from qclab.hypergraph import gen_gnp, new_hypergraph
-from qclab.oracle import EdgeSelectionPolicy, OracleSession, QueryStats
+from qclab.oracle import EdgeSelectionPolicy, OracleSession, QueryStats, _rank
 
 from reference import brute_crossing_edge_exists, brute_qualifying_edges, random_disjoint_parts
 
@@ -191,3 +198,68 @@ def test_two_identical_sessions_identical_transcripts():
         s = OracleSession(h, policy=EdgeSelectionPolicy.UNIFORM_RANDOM, policy_seed=12)
         transcripts.append([s.bise(*p) for p in queries] + [s.stats()])
     assert transcripts[0] == transcripts[1]
+
+
+def test_non_integer_vertex_ids_rejected_before_counting():
+    s = OracleSession(new_hypergraph(3, 3, [(0, 1, 2)]))
+    for parts in (
+        [[0.0], [True], [2]],
+        [[0], [1], [2.0]],
+        [[np.float64(0)], [1], [2]],
+        [[0], [np.bool_(True)], [2]],
+    ):
+        with pytest.raises(ValueError):
+            s.gpis(parts)
+        with pytest.raises(ValueError):
+            s.ask_all(False, parts)
+    assert s.stats() == QueryStats()
+    assert s.gpis([[np.int64(0)], [np.int32(1)], [2]]) is True
+    assert s.ask_all(True, [np.array([0, 1]), [2]]) == {}
+    assert s.stats() == QueryStats(gpis=1)
+
+
+@st.composite
+def _colored_instances(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 9))
+    all_edges = list(itertools.combinations(range(n), d))
+    edges = draw(st.lists(st.sampled_from(all_edges), unique=True) if all_edges else st.just([]))
+    b = draw(st.integers(1, n + 2))  # b < n makes classes collide
+    color = draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+    sets = classes(HashColoring(n=n, b=b, color=tuple(color))).vertex_sets()
+    return new_hypergraph(n, d, edges), sets, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colored_instances())
+def test_ask_all_equals_asking_tuples_one_by_one(instance):
+    h, sets, policy_seed = instance
+    q, d = len(sets), h.d
+    combos = list(itertools.combinations(range(q), d))
+    assert [_rank(t, q) for t in combos] == list(range(len(combos)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in EdgeSelectionPolicy:
+            batched = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/batched.log")
+            single = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/single.log")
+            for witness in (True, False, True):  # a second pass starts at a later call index
+                got = batched.ask_all(witness, sets)
+                expect = {}
+                for t in combos:
+                    parts = [sets[i] for i in t]
+                    if d == 2:
+                        answer = (single.bise if witness else single.bis)(*parts)
+                    else:
+                        answer = (single.gpise if witness else single.gpis)(parts)
+                    if answer:
+                        expect[t] = answer
+                    valid = brute_qualifying_edges(h, parts)
+                    assert (t in got) == bool(valid)
+                    if witness and valid:
+                        assert got[t] in valid
+                        if policy is EdgeSelectionPolicy.LEXICOGRAPHIC:
+                            assert got[t] == valid[0]
+                assert got == expect
+                assert batched.stats() == single.stats()
+            batched.close()
+            single.close()
+            assert Path(f"{tmp}/batched.log").read_bytes() == Path(f"{tmp}/single.log").read_bytes()

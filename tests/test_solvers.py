@@ -146,6 +146,23 @@ def test_lex_tiebreak_deterministic():
     assert cover == min(opts)
 
 
+def test_hitting_set_is_the_lex_smallest_optimum():
+    # brute_min_cover enumerates in lexicographic order, so any vertex the
+    # lex extension wrongly skips shows up as a different cover
+    for trial in range(60):
+        d = 2 + trial % 2
+        h = gen_gnp(9 + trial % 4, d, 0.3 if d == 2 else 0.08, seed=2000 + trial)
+        assert min_hitting_set(h) == brute_min_cover(h)
+
+
+def test_lex_extension_skips_vertices_the_degree_bound_rules_out():
+    # the planted cover is (220, 260); without the degree bound, trying each
+    # smaller vertex in turn takes 151 search nodes
+    h, _ = gen_planted_hitting_set(300, 2, 2, 200, seed=0)
+    limits = SolverLimits(max_branch_nodes=20, time_budget_ms=60_000)
+    assert min_hitting_set(h, limits) == (220, 260)
+
+
 def test_degree_profile_thresholds():
     g = new_hypergraph(60, 2, [(0, v) for v in range(1, 46)] + [(50, 51)])
     prof = degree_profile(g, 2)
