@@ -31,8 +31,14 @@ class HashColoring:
             raise ValueError("need at least one color")
         if len(self.color) != self.n:
             raise ValueError(f"coloring has {len(self.color)} entries, expected {self.n}")
+        if not all(_is_int_type(t) for t in set(map(type, self.color))):
+            raise ValueError("colors must be integers")
         if self.color and (min(self.color) < 0 or max(self.color) >= self.b):
             raise ValueError("color value outside [0, b)")
+
+
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ def random_coloring(n: int, b: int, rng: np.random.Generator) -> HashColoring:
     """Color each vertex uniformly and independently from [0, b)."""
     if b < 1:
         raise ValueError("need at least one color")
-    return HashColoring(n=n, b=b, color=tuple(int(c) for c in rng.integers(0, b, size=n)))
+    return HashColoring(n=n, b=b, color=tuple(rng.integers(0, b, size=n).tolist()))
 
 
 def classes(c: HashColoring) -> ColorClasses:
@@ -72,6 +78,20 @@ def classes(c: HashColoring) -> ColorClasses:
     return ColorClasses(
         classes=tuple((col, tuple(by_color[col])) for col in sorted(by_color))
     )
+
+
+def class_labels(colors: np.ndarray) -> np.ndarray:
+    """Per row of `colors` (t, n), the class index of every vertex: the rank
+    of its color among the row's distinct colors, so that classes run in
+    ascending color order as in `classes`."""
+    rows = np.arange(len(colors))[:, None]
+    order = colors.argsort(axis=1)
+    ranked = colors[rows, order]
+    step = np.zeros(colors.shape, dtype=np.int32)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=step[:, 1:])
+    labels = np.empty_like(step)
+    labels[rows, order] = step.cumsum(axis=1, dtype=np.int32)
+    return labels
 
 
 def next_prime(x: int) -> int:
@@ -94,7 +114,7 @@ def perfect_family(n: int, s: int, range_b: int) -> PerfectFamily:
     p = next_prime(max(n, range_b))
     xs = np.arange(n, dtype=np.int64)
     members = tuple(
-        HashColoring(n=n, b=range_b, color=tuple(int(c) for c in (a * xs % p) % range_b))
+        HashColoring(n=n, b=range_b, color=tuple(((a * xs % p) % range_b).tolist()))
         for a in range(1, p)
     )
     return PerfectFamily(s=s, b=range_b, p=p, members=members)

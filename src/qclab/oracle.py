@@ -15,11 +15,15 @@ disjoint each vertex lies in at most one part, so the matching test reduces
 to "the d vertices cover all d parts exactly once".
 
 ``ask_all(witness, sets)`` asks one query per d-tuple of q disjoint sets (a
-coloring's classes) at once. Every edge qualifies for at most one tuple, the
-tuple of the sets its vertices lie in, so a single pass over the edges
-answers all C(q, d) of them. The four endpoints are that same pass at q = d:
-counters, witnesses, random-policy call indices and log lines are identical
-whether the tuples are asked together or one by one.
+coloring's classes) at once, and ``ask_coloring(witness, color)`` does the
+same for the non-empty classes of a coloring given as one integer color per
+vertex. Every edge qualifies for at most one tuple, the tuple of the classes
+its vertices lie in, so a single numpy pass over the edge matrix answers all
+C(q, d) of them. That pass takes label rows, one per coloring: each vertex's
+class index, or -1 for a vertex in no set. The four endpoints and
+``ask_all`` are one row; ``witness_union(colorings)`` evaluates many
+colorings as blocks of rows. Counters, witnesses, random-policy call indices
+and log lines are the same however the queries are grouped into calls.
 
 Which qualifying edge a witness query returns is a policy: ``LEXICOGRAPHIC``
 (the globally smallest in canonical order, the reproducible default) or
@@ -36,11 +40,16 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .coloring import class_labels
 from .hypergraph import Edge, Hypergraph
 from .rng import mix_choice
 
 # query kinds in counter order
 _KINDS = ("bis", "bise", "gpis", "gpise")
+
+# cap on a block of colorings evaluated together, in rows x max(n, m*d)
+# elements: bounds the gathered label array and its sorted copies
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class EdgeSelectionPolicy(Enum):
@@ -88,7 +97,7 @@ class OracleSession:
         self.policy = policy
         self.policy_seed = int(policy_seed)
         self._counts = [0, 0, 0, 0]  # bis, bise, gpis, gpise
-        self._edge_mat = np.asarray(hidden.edges, dtype=np.int64).reshape(-1, hidden.d)
+        self._edge_mat = np.asarray(hidden.edges, dtype=np.intp).reshape(-1, hidden.d)
         self._log: Optional[IO[str]] = open(log_path, "w", encoding="utf-8") if log_path else None
 
     @property
@@ -134,10 +143,30 @@ class OracleSession:
         d > 2) or existence queries (bis / gpis). Costs C(len(sets), d) on
         that kind's counter. Returns the non-empty answers keyed by the
         tuple of set indices: the witness edge, or True."""
-        self._validate(sets)
-        return self._run((0 if self._d == 2 else 2) + bool(witness), sets)
+        return self._answers(self._kind(witness), self._set_labels(sets))
+
+    def ask_coloring(self, witness: bool, color: Sequence[int]) -> dict:
+        """`ask_all` over the non-empty classes of `color` (one integer color
+        per vertex), classes in ascending color order."""
+        return self._answers(self._kind(witness), self._color_labels([color]))
+
+    def witness_union(self, colorings: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+        """Ask the witness queries of each coloring in turn, exactly as
+        `ask_coloring` would (same counters, random picks and log lines), and
+        return the distinct witnesses in canonical order. Colorings are
+        evaluated in blocks of bounded size."""
+        rows = max(1, _BLOCK_ELEMENTS // max(self._n, self._edge_mat.size))
+        colorings = iter(colorings)
+        found = np.zeros(len(self._edge_mat), dtype=bool)
+        while block := list(itertools.islice(colorings, rows)):
+            found[self._run(self._kind(True), self._color_labels(block))[2]] = True
+        edges = self._hidden.edges
+        return tuple(edges[i] for i in np.flatnonzero(found).tolist())
 
     # -- internals -----------------------------------------------------
+
+    def _kind(self, witness: bool) -> int:
+        return (0 if self._d == 2 else 2) + bool(witness)
 
     def _ask(self, kind: int, parts: Sequence[Iterable[int]], d: int):
         """One query of `kind` (an index into _KINDS; odd kinds are witness
@@ -146,63 +175,107 @@ class OracleSession:
             raise ValueError(f"{_KINDS[kind]} requires a hidden graph (d=2), have d={self._d}")
         if len(parts) != d:
             raise ValueError(f"expected {d} parts, got {len(parts)}")
-        self._validate(parts)
-        return self._run(kind, parts).get(tuple(range(d)), None if kind & 1 else False)
+        answers = self._answers(kind, self._set_labels(parts))
+        return answers.get(tuple(range(d)), None if kind & 1 else False)
 
-    def _validate(self, sets: Sequence[Iterable[int]]) -> None:
-        """Reject malformed sets before any counter moves."""
-        total = 0
+    def _set_labels(self, sets: Sequence[Iterable[int]]) -> np.ndarray:
+        """The label row of `sets` (see `_run`), rejecting malformed sets
+        before any counter moves."""
+        n = self._n
         seen: set[int] = set()
-        for p in sets:
-            lp = len(p)  # type: ignore[arg-type]
-            if not lp:
+        vertices: list[int] = []
+        labels: list[int] = []
+        for i, p in enumerate(sets):
+            size = len(vertices)
+            for v in p:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError("part vertices must be integers")
+                if not 0 <= v < n:
+                    raise ValueError(f"part vertex outside [0, {n})")
+                if v in seen:
+                    raise ValueError("parts must be pairwise disjoint (and duplicate-free)")
+                seen.add(v)
+                vertices.append(v)
+            if len(vertices) == size:
                 raise ValueError("parts must be non-empty")
-            total += lp
-            seen.update(p)
-        if len(seen) != total:
-            raise ValueError("parts must be pairwise disjoint (and duplicate-free)")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in seen):
-            raise ValueError("part vertices must be integers")
-        if seen and (min(seen) < 0 or max(seen) >= self._n):
-            raise ValueError(f"part vertex outside [0, {self._n})")
+            labels += [i] * (len(vertices) - size)
+        row = np.full((1, n), -1, dtype=np.int32)
+        row[0, np.array(vertices, dtype=np.intp)] = labels
+        return row
 
-    def _run(self, kind: int, sets: Sequence[Iterable[int]]) -> dict:
-        """The one evaluation path: answer every d-tuple of the validated
-        `sets` as a query of `kind`, count and log each, and return the
-        non-empty answers keyed by index tuple."""
-        d, q = self._d, len(sets)
-        base = sum(self._counts)  # call index of the first tuple
-        self._counts[kind] += math.comb(q, d)
-        set_of = np.full(self._n, -1, dtype=np.int64)
-        for i, s in enumerate(sets):
-            set_of[list(s)] = i
-        rows = np.sort(set_of[self._edge_mat], axis=1)
-        # an edge qualifies for the tuple of its sets when they are d distinct sets
-        keep = (rows[:, 0] >= 0) & (np.diff(rows, axis=1) > 0).all(axis=1)
-        groups: dict[tuple[int, ...], list[Edge]] = {}
+    def _color_labels(self, colors) -> np.ndarray:
+        """Label rows of colorings, rejecting any that is not n integers."""
+        colors = np.asarray(colors)
+        if colors.ndim != 2 or colors.shape[1] != self._n or colors.dtype.kind not in "iu":
+            raise ValueError(f"a coloring gives an integer color to each of the {self._n} vertices")
+        return class_labels(colors)
+
+    def _answers(self, kind: int, labels: np.ndarray) -> dict:
+        """The non-empty answers of a one-row `_run`, keyed by class tuple."""
+        _, tuples, picks = self._run(kind, labels)
+        keys = map(tuple, tuples.tolist())
+        if not kind & 1:
+            return dict.fromkeys(keys, True)
         edges = self._hidden.edges
-        for i, row in zip(np.flatnonzero(keep).tolist(), rows[keep].tolist()):
-            groups.setdefault(tuple(row), []).append(edges[i])
-        witness = kind & 1
-        if not witness:
-            answers: dict = dict.fromkeys(groups, True)
-        elif self.policy is EdgeSelectionPolicy.LEXICOGRAPHIC:
-            answers = {t: found[0] for t, found in groups.items()}
-        else:
-            answers = {
-                t: found[mix_choice(self.policy_seed, base + _rank(t, q), len(found))]
-                for t, found in groups.items()
-            }
+        return {t: edges[i] for t, i in zip(keys, picks.tolist())}
+
+    def _run(self, kind: int, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one evaluation path. Each row of `labels` (t, n) gives every
+        vertex its class, 0..q-1, or -1 for none, and asks one query of
+        `kind` per d-tuple of its q classes; rows are asked in order, as if
+        one call each. Counts and logs every query and returns the non-empty
+        answers in (row, class tuple) order as three arrays: the row, the
+        class tuple (one row of d labels) and the index of the answering
+        edge in the hidden edge list."""
+        d = self._d
+        qs = (labels.max(axis=1) + 1).tolist()
+        # call index of each row's first tuple
+        base = list(itertools.accumulate((math.comb(q, d) for q in qs), initial=sum(self._counts)))
+        self._counts[kind] += base[-1] - base[0]
+        tuples = np.sort(labels[:, self._edge_mat], axis=2)
+        # an edge qualifies for the tuple of its classes when they are d distinct classes
+        keep = (tuples[:, :, 1:] > tuples[:, :, :-1]).all(axis=2)
+        keep &= tuples[:, :, 0] >= 0
+        rows, edges = keep.nonzero()
+        tuples = tuples[rows, edges]
+        # stable: edges stay in canonical order inside each (row, tuple) group
+        order = np.lexsort((*tuples.T[::-1], rows))
+        rows, edges, tuples = rows[order], edges[order], tuples[order]
+        first = np.empty(len(rows), dtype=bool)
+        first[:1] = True
+        np.any(tuples[1:] != tuples[:-1], axis=1, out=first[1:])
+        first[1:] |= rows[1:] != rows[:-1]
+        starts = first.nonzero()[0]
+        rows, tuples = rows[starts], tuples[starts]
+        if kind & 1 and self.policy is EdgeSelectionPolicy.UNIFORM_RANDOM:
+            sizes = np.diff(starts, append=len(edges)).tolist()
+            starts = [
+                s + mix_choice(self.policy_seed, base[r] + _rank(t, qs[r]), size)
+                for s, r, t, size in zip(starts.tolist(), rows.tolist(), tuples.tolist(), sizes)
+            ]
+        picks = edges[starts]
         if self._log is not None:
-            texts = [",".join(map(str, sorted(s))) for s in sets]
-            for t in itertools.combinations(range(q), d):
-                answer = answers.get(t)
-                if witness:
-                    text = "null" if answer is None else ",".join(map(str, answer))
+            self._write_log(kind, labels, qs, rows, tuples, picks)
+        return rows, tuples, picks
+
+    def _write_log(self, kind, labels, qs, rows, tuples, picks) -> None:
+        """One line per query of `_run`, rows in order, tuples in
+        itertools.combinations order."""
+        found = {(r, *t): i for r, t, i in zip(rows.tolist(), tuples.tolist(), picks.tolist())}
+        edges = self._hidden.edges
+        for r, q in enumerate(qs):
+            members: list[list[str]] = [[] for _ in range(q)]
+            for v, label in enumerate(labels[r].tolist()):
+                if label >= 0:
+                    members[label].append(str(v))
+            texts = [",".join(m) for m in members]
+            for t in itertools.combinations(range(q), self._d):
+                i = found.get((r, *t))
+                if kind & 1:
+                    text = "null" if i is None else ",".join(map(str, edges[i]))
                 else:
-                    text = "yes" if answer else "no"
-                self._log.write(f"{_KINDS[kind]}|{';'.join(texts[i] for i in t)}|{text}\n")
-        return answers
+                    text = "no" if i is None else "yes"
+                self._log.write(f"{_KINDS[kind]}|{';'.join(texts[j] for j in t)}|{text}\n")
 
 
 def _rank(combo: tuple[int, ...], q: int) -> int:

@@ -137,3 +137,10 @@ def test_reconstruction_from_classes():
         for v in verts:
             rebuilt[v] = col
     assert tuple(rebuilt) == c.color
+
+
+def test_non_integer_colors_rejected():
+    for color in ((0.5, 1), (0, 1.0), (True, 1), (np.bool_(False), 1), ("0", 1)):
+        with pytest.raises(ValueError):
+            HashColoring(2, 2, color)
+    assert HashColoring(2, 2, (np.int64(0), np.uint8(1))).color == (0, 1)

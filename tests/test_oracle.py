@@ -263,3 +263,42 @@ def test_ask_all_equals_asking_tuples_one_by_one(instance):
             batched.close()
             single.close()
             assert Path(f"{tmp}/batched.log").read_bytes() == Path(f"{tmp}/single.log").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colored_instances(), st.data())
+def test_ask_coloring_equals_ask_all_on_the_classes(instance, data):
+    h, _, policy_seed = instance
+    b = data.draw(st.integers(1, h.n + 2))
+    color = data.draw(st.lists(st.integers(-3, b - 1), min_size=h.n, max_size=h.n))
+    sets = classes(HashColoring(n=h.n, b=b + 3, color=tuple(c + 3 for c in color))).vertex_sets()
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in EdgeSelectionPolicy:
+            by_color = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/color.log")
+            by_sets = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/sets.log")
+            for witness in (True, False, True):
+                assert by_color.ask_coloring(witness, color) == by_sets.ask_all(witness, sets)
+                assert by_color.ask_coloring(witness, np.array(color, dtype=np.int8)) == (
+                    by_sets.ask_all(witness, sets)
+                )
+                assert by_color.stats() == by_sets.stats()
+            by_color.close()
+            by_sets.close()
+            assert Path(f"{tmp}/color.log").read_bytes() == Path(f"{tmp}/sets.log").read_bytes()
+
+
+def test_ask_coloring_rejects_non_integer_colorings_before_counting():
+    s = OracleSession(new_hypergraph(3, 2, [(0, 1)]))
+    for color in ([0.0, 1.0, 2.0], [True, False, True], [0, 1], [[0, 1, 2]], np.zeros((1, 3), int)):
+        with pytest.raises(ValueError):
+            s.ask_coloring(True, color)
+    assert s.stats() == QueryStats()
+    assert s.ask_coloring(False, (np.int64(5), 9, 5)) == {(0, 1): True}
+    assert s.stats() == QueryStats(bis=1)
+
+
+def test_ask_all_ignores_edges_leaving_the_sets():
+    s = session_for([(0, 1), (1, 2), (2, 3)], n=4)
+    assert s.ask_all(True, [[1], [2]]) == {(0, 1): (1, 2)}
+    assert s.ask_all(False, [[0], [3]]) == {}
+    assert s.stats() == QueryStats(bise=1, bis=1)

@@ -1,10 +1,17 @@
+import itertools
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qclab.oracle
 from qclab.coloring import HashColoring, classes, random_coloring
 from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph
-from qclab.oracle import OracleSession, QueryStats
+from qclab.oracle import EdgeSelectionPolicy, OracleSession, QueryStats
 from qclab.rng import rng_from
 from qclab.sampler import quotient_existence, sample_subhypergraph, sample_union
 from qclab.solvers import degree_profile
@@ -179,3 +186,53 @@ def test_high_degree_vertex_keeps_degree_per_sample():
         if out.graph.degree(0) >= 2 * 2:
             hits += 1
     assert hits / 400 >= 0.4
+
+
+def _sequential_union(session, b, t, seed):
+    """Reference for sample_union: t samples asked one at a time."""
+    edges, spent = set(), 0
+    for i in range(t):
+        part = sample_subhypergraph(session, random_coloring(session.n, b, rng_from(seed, "sample", i)))
+        edges.update(part.graph.edges)
+        spent += part.queries_spent
+    return tuple(sorted(edges)), spent
+
+
+def _assert_union_is_sequential(h, b, t, seed, policy, policy_seed, tmp):
+    union = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/union.log")
+    single = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/single.log")
+    for _ in range(2):  # a second union starts at a later call index
+        got = sample_union(union, b, t, seed)
+        edges, spent = _sequential_union(single, b, t, seed)
+        assert got.graph.edges == edges
+        assert got.queries_spent == spent
+        assert union.stats() == single.stats()
+        assert [c.color for c in got.provenance] == [
+            random_coloring(h.n, b, rng_from(seed, "sample", i)).color for i in range(t)
+        ]
+    union.close()
+    single.close()
+    assert Path(f"{tmp}/union.log").read_bytes() == Path(f"{tmp}/single.log").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]), st.integers(1, 9), st.data(), st.integers(1, 12),
+    st.integers(0, 2**64 - 1), st.integers(1, 40),
+)
+def test_sample_union_equals_sequential_samples_across_blocks(d, n, data, b, policy_seed, t):
+    all_edges = list(itertools.combinations(range(n), d))
+    edges = data.draw(st.lists(st.sampled_from(all_edges), unique=True) if all_edges else st.just([]))
+    h = new_hypergraph(n, d, edges)
+    # blocks of 1 to 4 rows, so that t spans several of them
+    block = data.draw(st.integers(1, 4)) * max(n, len(edges) * d)
+    with mock.patch.object(qclab.oracle, "_BLOCK_ELEMENTS", block), tempfile.TemporaryDirectory() as tmp:
+        for policy in EdgeSelectionPolicy:
+            _assert_union_is_sequential(h, b, t, 7, policy, policy_seed, tmp)
+
+
+def test_sample_union_spans_blocks_at_the_default_size(tmp_path):
+    h, _ = gen_planted_hitting_set(30, 2, 2, 40, seed=11)
+    t = 2 * qclab.oracle._BLOCK_ELEMENTS // max(h.n, h.m * h.d) + 1
+    for policy in EdgeSelectionPolicy:
+        _assert_union_is_sequential(h, 12, t, 3, policy, 5, tmp_path)
