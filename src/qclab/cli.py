@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which qualifying edge witness queries return")
     r.add_argument("--boost-c", type=int, default=None, help="rounds per unit of log k")
     r.add_argument("--gamma", type=int, default=None,
-                   help="color multiplier for packing / decision hitting set")
+                   help="color multiplier: sets pack_gamma, or hs_decision_gamma for hs-decision")
     r.add_argument("--alpha", type=int, default=None, help="hitting-set round multiplier")
     r.add_argument("--beta", type=int, default=None, help="hitting-set color multiplier")
     r.add_argument("--colors-factor", type=int, default=None,

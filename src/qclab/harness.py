@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -408,6 +409,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[TrialReport], dict]:
             "trials": len(cell_reports),
             "errors": failures + sum(1 for r in cell_reports if r.answer == "budget-exceeded"),
             "infeasible": sum(1 for r in cell_reports if r.answer == "infeasible"),
+            "causes": dict(Counter(r.answer for r in cell_reports if r.success is None)),
             "messages": sorted(messages),
             "success_rate": (
                 sum(1 for r in ok if r.success) / len(ok) if ok else None

@@ -13,10 +13,14 @@ max_t_cut returns the first optimum in a fixed canonical enumeration order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .hypergraph import Edge, Hypergraph
 
@@ -33,6 +37,10 @@ class SolverLimits:
 
 DEFAULT_LIMITS = SolverLimits()
 
+# cap on the entries of one block of representative_family's vertex sets X:
+# its (X, vertex) index array plus its (X, edge) avoid matrix
+_AVOID_BLOCK_ELEMENTS = 1 << 18
+
 
 class _Search:
     """Node/time accounting shared by one solver call."""
@@ -48,7 +56,11 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.limits.max_branch_nodes:
             raise BudgetExceeded(f"branch node budget {self.limits.max_branch_nodes} exceeded")
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 4096 == 0:
+            self.check_deadline()
+
+    def check_deadline(self) -> None:
+        if time.monotonic() > self.deadline:
             raise BudgetExceeded(f"time budget {self.limits.time_budget_ms} ms exceeded")
 
 
@@ -143,29 +155,33 @@ def min_vertex_cover(g: Hypergraph, limits: SolverLimits = DEFAULT_LIMITS) -> tu
 
 
 def _max_packing(edges: tuple[Edge, ...], search: _Search) -> tuple[Edge, ...]:
-    m = len(edges)
-    fsets = [frozenset(e) for e in edges]
+    # each edge becomes an int mask over its vertices, relabelled densely in
+    # first-seen order; a node receives the indices of the edges compatible
+    # with its partial packing, in canonical order
+    ids: dict[int, int] = {}
+    masks = [sum(1 << ids.setdefault(v, len(ids)) for v in e) for e in edges]
+    mask_of = masks.__getitem__
     best: list[Edge] = []
 
-    def rec(pos: int, used: frozenset[int], cur: list[Edge]) -> None:
+    def rec(compat: list[int], cur: list[Edge]) -> None:
         search.tick()
-        compat = [j for j in range(pos, m) if used.isdisjoint(fsets[j])]
-        free = len({v for j in compat for v in fsets[j]})
-        bound = len(cur) + min(len(compat), free // len(edges[0]) if edges else 0)
-        if bound <= len(best):
-            return
         if not compat:
             return
+        free = functools.reduce(operator.or_, map(mask_of, compat))
+        if len(cur) + min(len(compat), free.bit_count() // len(edges[0])) <= len(best):
+            return
         j = compat[0]
+        rest = compat[1:]
         cur.append(edges[j])
         if len(cur) > len(best):
             best[:] = cur
-        rec(j + 1, used | fsets[j], cur)
+        mj = masks[j]
+        rec([i for i in rest if not masks[i] & mj], cur)
         cur.pop()
-        rec(j + 1, used, cur)
+        rec(rest, cur)
 
-    if m:
-        rec(0, frozenset(), [])
+    if edges:
+        rec(list(range(len(edges))), [])
     return tuple(best)
 
 
@@ -271,30 +287,50 @@ def representative_family(
     when every X currently avoided by the edge keeps another avoider, so the
     defining property holds at every step by construction. The surviving
     family is irredundant, which caps its size at C(k+d, d).
+
+    The sets X are enumerated in blocks of the combinations order, and each
+    block becomes columns of one boolean edge-by-X avoid matrix; only the
+    columns with an avoider are kept. The time budget is checked between
+    blocks and between deletions.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     total = sum(math.comb(h.n, j) for j in range(k + 1))
     if total > guard:
         raise ValueError(f"enumerating {total} sets X exceeds guard {guard}")
-    edges = list(h.edges)
-    fsets = [frozenset(e) for e in edges]
-    edge_to_xs: list[list[int]] = [[] for _ in edges]
-    counts: list[int] = []
-    for size in range(k + 1):
-        for xs in itertools.combinations(range(h.n), size):
-            x = frozenset(xs)
-            avoiders = [i for i, fs in enumerate(fsets) if not (fs & x)]
-            if avoiders:
-                xi = len(counts)
-                counts.append(len(avoiders))
-                for i in avoiders:
-                    edge_to_xs[i].append(xi)
-    keep = [True] * len(edges)
-    for i in range(len(edges)):
-        if all(counts[xi] >= 2 for xi in edge_to_xs[i]):
+    search = _Search(limits)
+    edges = h.edges
+    m = len(edges)
+    if not m:
+        return ()
+    # transposed incidence: row v marks the edges containing vertex v
+    contains = np.zeros((h.n, m), dtype=bool)
+    contains[np.array(edges).T, np.arange(m)] = True
+    blocks = [np.ones((1, m), dtype=bool)]  # X = {} is avoided by every edge
+    for size in range(1, k + 1):
+        combos = itertools.combinations(range(h.n), size)
+        per_block = max(1, _AVOID_BLOCK_ELEMENTS // (m + size))
+        while True:
+            search.check_deadline()
+            xs = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, per_block)),
+                dtype=np.intp,
+            ).reshape(-1, size)
+            if not len(xs):
+                break
+            hit = contains[xs[:, 0]]
+            for c in range(1, size):
+                hit |= contains[xs[:, c]]
+            avoids = ~hit
+            blocks.append(avoids[avoids.any(axis=1)])
+    avoids = np.concatenate(blocks).T.copy()  # edge i's row: the X it avoids
+    counts = avoids.sum(axis=0)
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        search.check_deadline()
+        row = avoids[i]
+        if (counts[row] >= 2).all():
             keep[i] = False
-            for xi in edge_to_xs[i]:
-                counts[xi] -= 1
-    assert all(c >= 1 for c in counts), "representative property broken; solver bug"
-    return tuple(e for i, e in enumerate(edges) if keep[i])
+            counts[row] -= 1
+    assert (counts >= 1).all(), "representative property broken; solver bug"
+    return tuple(e for e, kept in zip(edges, keep) if kept)

@@ -104,3 +104,69 @@ def random_disjoint_parts(rng, n: int, d: int, max_size: int = 4):
         parts.append(tuple(int(v) for v in perm[at : at + int(s)]))
         at += int(s)
     return tuple(parts)
+
+
+def frozenset_representative_family(h: Hypergraph, k: int) -> tuple[tuple[int, ...], ...]:
+    """Greedy representative family by per-X frozenset scans, in canonical
+    edge order: an edge is deleted when every X it avoids keeps another avoider."""
+    edges = list(h.edges)
+    fsets = [frozenset(e) for e in edges]
+    edge_to_xs: list[list[int]] = [[] for _ in edges]
+    counts: list[int] = []
+    for size in range(k + 1):
+        for xs in itertools.combinations(range(h.n), size):
+            x = frozenset(xs)
+            avoiders = [i for i, fs in enumerate(fsets) if not (fs & x)]
+            if avoiders:
+                xi = len(counts)
+                counts.append(len(avoiders))
+                for i in avoiders:
+                    edge_to_xs[i].append(xi)
+    keep = [True] * len(edges)
+    for i in range(len(edges)):
+        if all(counts[xi] >= 2 for xi in edge_to_xs[i]):
+            keep[i] = False
+            for xi in edge_to_xs[i]:
+                counts[xi] -= 1
+    assert all(c >= 1 for c in counts)
+    return tuple(e for i, e in enumerate(edges) if keep[i])
+
+
+class NodeBudget(Exception):
+    """The reference packing search visited more nodes than allowed."""
+
+
+def frozenset_max_packing(edges, max_nodes=None):
+    """(maximum packing, search nodes) of the branch-and-bound packing search
+    with frozenset state: branch on the first compatible edge, include before
+    exclude, prune when the partial packing plus min(#compatible edges,
+    #free vertices // edge size) cannot beat the best. Raises NodeBudget on
+    node max_nodes + 1."""
+    m = len(edges)
+    fsets = [frozenset(e) for e in edges]
+    best: list = []
+    nodes = 0
+
+    def rec(pos, used, cur):
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise NodeBudget(nodes)
+        compat = [j for j in range(pos, m) if used.isdisjoint(fsets[j])]
+        free = len({v for j in compat for v in fsets[j]})
+        bound = len(cur) + min(len(compat), free // len(edges[0]) if edges else 0)
+        if bound <= len(best):
+            return
+        if not compat:
+            return
+        j = compat[0]
+        cur.append(edges[j])
+        if len(cur) > len(best):
+            best[:] = cur
+        rec(j + 1, used | fsets[j], cur)
+        cur.pop()
+        rec(j + 1, used, cur)
+
+    if m:
+        rec(0, frozenset(), [])
+    return tuple(best), nodes

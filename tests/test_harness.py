@@ -339,3 +339,41 @@ def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
         cli_main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_summary_counts_each_cause_of_a_missing_verdict(monkeypatch):
+    cfg = dict(algorithms=["hs-promised"], n=[5], d=[3], k=[1], m=[50], trials=2)
+    _, summary = run_sweep(SweepConfig(**cfg))
+    (cell,) = summary["cells"].values()
+    assert cell["causes"] == {"infeasible": 2}
+
+    import qclab.harness
+    from qclab.solvers import BudgetExceeded
+
+    real_run_trial = qclab.harness.run_trial
+    outcomes = iter(["value", "budget", "tripped", "value", "ok"])
+
+    def flaky_trial(*args, **kwargs):
+        outcome = next(outcomes)
+        if outcome == "value":
+            raise ValueError("algorithm broke")
+        if outcome == "budget":
+            raise BudgetExceeded("truth out of budget")
+        if outcome == "tripped":
+            kwargs["limits"] = SolverLimits(max_branch_nodes=0)
+        return real_run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(qclab.harness, "run_trial", flaky_trial)
+    cfg.update(n=[8], m=[6], trials=5)
+    reports, summary = run_sweep(SweepConfig(**cfg))
+    assert [r.answer for r in reports][:4] == [
+        "error:ValueError", "error:BudgetExceeded", "budget-exceeded", "error:ValueError"
+    ]
+    (cell,) = summary["cells"].values()
+    assert cell["causes"] == {
+        "error:ValueError": 2, "error:BudgetExceeded": 1, "budget-exceeded": 1
+    }
+    assert cell["errors"] == 4
+    assert cell["messages"] == [
+        "error:BudgetExceeded: truth out of budget", "error:ValueError: algorithm broke"
+    ]

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph
 from qclab.solvers import (
     BudgetExceeded,
     SolverLimits,
+    _max_packing,
+    _Search,
     degree_profile,
     max_matching,
     max_set_packing,
@@ -17,8 +19,16 @@ from qclab.solvers import (
     min_vertex_cover,
     representative_family,
 )
+from qclab.sunflowers import candidate_cores
 
-from reference import brute_max_packing, brute_max_t_cut, brute_min_cover
+from reference import (
+    NodeBudget,
+    brute_max_packing,
+    brute_max_t_cut,
+    brute_min_cover,
+    frozenset_max_packing,
+    frozenset_representative_family,
+)
 
 
 def test_star_cover_is_center():
@@ -233,3 +243,101 @@ def test_cover_covers_and_packing_disjoint(seed):
     for e in packing:
         assert not seen.intersection(e)
         seen.update(e)
+
+
+# -- differential tests against the frozenset references ------------------
+
+
+@st.composite
+def small_hypergraphs(draw, max_n=9, max_m=14):
+    """d = 2-4, possibly no edges, possibly isolated vertices."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d, max_n))
+    edge = st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True)
+    edges = draw(st.lists(edge, max_size=max_m))
+    return new_hypergraph(n + draw(st.integers(0, 3)), d, edges)
+
+
+@st.composite
+def edge_families(draw):
+    """Sorted duplicate-free tuples of size d = 1-4 over sparse vertex ids."""
+    d = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 60), min_size=d, max_size=12, unique=True))
+    edge = st.lists(st.sampled_from(ids), min_size=d, max_size=d, unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=16, unique=True))
+    return tuple(sorted(edges))
+
+
+def _petal_families(h):
+    # the petals sunflower_number packs, for every non-empty candidate core
+    for core in candidate_cores(h):
+        cs = frozenset(core)
+        petals = tuple(
+            tuple(v for v in e if v not in cs) for e in h.edges if cs <= frozenset(e)
+        )
+        if petals:
+            yield tuple(sorted(petals))
+
+
+def _packing_outcome(edges, max_nodes):
+    search = _Search(SolverLimits(max_branch_nodes=max_nodes))
+    try:
+        return _max_packing(edges, search), search.nodes
+    except BudgetExceeded:
+        return "budget", search.nodes
+
+
+def _reference_outcome(edges, max_nodes):
+    try:
+        return frozenset_max_packing(edges, max_nodes)
+    except NodeBudget as exc:
+        return "budget", exc.args[0]
+
+
+@given(small_hypergraphs(), st.integers(0, 3))
+@example(new_hypergraph(5, 2, []), 0)
+@example(new_hypergraph(5, 2, []), 2)
+@example(new_hypergraph(12, 3, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]), 0)
+@example(new_hypergraph(12, 3, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]), 3)
+@settings(max_examples=120, deadline=None)
+def test_representative_family_matches_the_frozenset_reference(h, k):
+    assert representative_family(h, k) == frozenset_representative_family(h, k)
+
+
+@given(edge_families(), st.integers(1, 40))
+@example((), 1)
+@example(((3,), (7,), (40,)), 2)
+@example(((0, 1, 2, 3), (4, 5, 6, 7), (0, 4, 8, 9)), 3)
+@settings(max_examples=200, deadline=None)
+def test_packing_and_node_count_match_the_frozenset_reference(edges, max_nodes):
+    assert _packing_outcome(edges, 5_000_000) == _reference_outcome(edges, None)
+    # a small node budget trips on the same inputs, at the same node
+    assert _packing_outcome(edges, max_nodes) == _reference_outcome(edges, max_nodes)
+
+
+@given(small_hypergraphs(max_m=20), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_petal_packings_match_the_frozenset_reference(h, max_nodes):
+    for petals in [h.edges, *_petal_families(h)]:
+        assert _packing_outcome(petals, 5_000_000) == _reference_outcome(petals, None)
+        assert _packing_outcome(petals, max_nodes) == _reference_outcome(petals, max_nodes)
+
+
+def test_packing_is_the_lex_smallest_optimum():
+    # brute_max_packing returns the first maximum family in the order of
+    # itertools.combinations over the canonical edge list
+    for trial in range(60):
+        d = 2 + trial % 3
+        n = 8 + trial % 5
+        h = gen_gnp(n, d, (0.3, 0.08, 0.02)[d - 2], seed=3000 + trial)
+        if h.m > 14:
+            continue
+        assert max_set_packing(h) == brute_max_packing(h)
+
+
+def test_representative_family_keeps_its_time_budget():
+    # n = 24, k = 5: about 55,000 sets X
+    h = gen_gnp(24, 3, 0.03, seed=1)
+    assert h.m > 40
+    with pytest.raises(BudgetExceeded):
+        representative_family(h, 5, SolverLimits(time_budget_ms=0))
