@@ -23,11 +23,12 @@ round succeed with constant probability; override any field to experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional
 
 from .coloring import HashColoring, perfect_family, random_coloring
 from .hypergraph import Edge, Hypergraph, crossing_edges, hits_every_edge, is_packing
+from .hypergraph import new_hypergraph
 from .oracle import OracleSession, QueryStats
 from .rng import rng_from
 from .sampler import quotient_existence, sample_subhypergraph, sample_union
@@ -69,21 +70,10 @@ class AlgorithmConstants:
     boost_c: int = 10                   # rounds per unit of log k in boosted loops
 
     def __post_init__(self) -> None:
-        for name in (
-            "vc_colors_factor",
-            "vc_rounds_factor",
-            "vc_decision_colors_factor",
-            "match_colors_factor",
-            "match_rounds_factor",
-            "cut_colors_factor",
-            "boost_c",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("pack_gamma", "hs_alpha", "hs_beta", "hs_decision_gamma"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for f in fields(self):
+            value = getattr(self, f.name)  # None: the arity default, where the default is None
+            if not (value is None and f.default is None) and value < 1:
+                raise ValueError(f"{f.name} must be at least 1")
 
     def pack_gamma_for(self, d: int) -> int:
         return self.pack_gamma if self.pack_gamma is not None else 100 * d * d
@@ -476,29 +466,15 @@ def cut(
 def _cut_round(t: int, limits: SolverLimits):
     def solve(sample, c: HashColoring) -> tuple[int, tuple[int, ...]]:
         """Exact max t-cut of the sampled edges over whole-class assignments."""
-        sampled = sample.graph
-        # contract each color class to one node; sampled edges join distinct classes
-        color_of = c.color
-        used_colors = sorted({color_of[v] for e in sampled.edges for v in e})
-        if not used_colors:
-            return 0, tuple([0] * c.n)
-        index = {col: i for i, col in enumerate(used_colors)}
-        contracted = Hypergraph(
-            n=len(used_colors),
-            d=2,
-            edges=tuple(
-                sorted(
-                    tuple(sorted((index[color_of[u]], index[color_of[v]])))
-                    for u, v in sampled.edges
-                )
-            ),
-        )
-        class_parts, size = max_t_cut(contracted, t, limits)
-        lifted = tuple(
-            class_parts[index[color_of[v]]] if color_of[v] in index else 0 for v in range(c.n)
-        )
+        # contract each color class to one node, in ascending color order;
+        # sampled edges join distinct classes
+        rank = {col: i for i, col in enumerate(sorted(set(c.color)))}
+        label = [rank[col] for col in c.color]
+        edges = [(label[u], label[v]) for u, v in sample.graph.edges]
+        class_parts, size = max_t_cut(new_hypergraph(len(rank), 2, edges), t, limits)
+        lifted = tuple(class_parts[i] for i in label)
         # verify against the sampled evidence
-        if crossing_edges(lifted, sampled) != size:
+        if crossing_edges(lifted, sample.graph) != size:
             raise AssertionError("lifted partition does not reproduce the class cut; bug")
         return size, lifted
 
@@ -525,7 +501,7 @@ def cut_decision(
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
 
     def solve(quotient, c: HashColoring) -> tuple[int, None]:
-        return (max_t_cut(quotient.graph, t, limits)[1] if quotient.graph.m else 0), None
+        return max_t_cut(quotient.graph, t, limits)[1], None
 
     return _best(session, k, colorings, solve, constants, existence=True)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import operator
@@ -259,8 +260,8 @@ def run_algorithm(
         raise ValueError(f"unknown algorithm {algo!r}; choose from {tuple(ALGORITHMS)}")
     if spec.graph_only and session.d != 2:
         raise ValueError(f"{algo} needs a graph instance (d=2), got d={session.d}")
-    if spec.needs_t and t is None:
-        raise ValueError(f"{algo} needs t, the number of parts (--t)")
+    if spec.needs_t != (t is not None):
+        raise ValueError(f"{algo} {'needs' if spec.needs_t else 'takes no'} t, a part count (--t)")
     return spec.run(session, k, t, seed, constants, limits)
 
 
@@ -341,19 +342,15 @@ class SweepConfig:
 
 
 def _cells(config: SweepConfig):
-    idx = 0
+    """Every grid point (algo, n, d, k, t, m, extra), in cell-index order."""
     for algo in config.algorithms:
         spec = ALGORITHMS[algo]
         ds = [2] if spec.graph_only else config.d
         ts = config.t if spec.needs_t else [None]
-        for d in ds:
-            for n in config.n:
-                for k in config.k:
-                    for t in ts:
-                        for m in config.m:
-                            for extra in config.extra:
-                                yield idx, algo, n, d, k, t, m, extra
-                                idx += 1
+        for d, n, k, t, m, extra in itertools.product(
+            ds, config.n, config.k, ts, config.m, config.extra
+        ):
+            yield algo, n, d, k, t, m, extra
 
 
 def _default_edge_count(kind: str, n: int, d: int, k: int) -> int:
@@ -363,57 +360,54 @@ def _default_edge_count(kind: str, n: int, d: int, k: int) -> int:
     return 0
 
 
+def _sweep_trial(algo, n, d, k, t, m, extra, seed, constants, policy):
+    """(report, message) of one trial of a cell; the message is None unless
+    the row has no run report (an `infeasible` or `error:<type>` answer)."""
+    kind = ALGORITHMS[algo].kind
+    m = m or _default_edge_count(kind, n, d, k)
+    try:
+        hidden, _ = generate_instance(kind, n=n, d=d, k=k, seed=seed, m=m, extra=extra, t=t or 2)
+    except ValueError as exc:  # the generator cannot build this instance
+        answer, message = "infeasible", str(exc)
+    else:
+        try:
+            report, _ = run_trial(
+                algo, hidden, k, t=t, seed=seed, constants=constants, policy=policy
+            )
+            return report, None
+        except (ValueError, BudgetExceeded) as exc:
+            answer, message = f"error:{type(exc).__name__}", str(exc)
+    report = TrialReport(
+        algo=algo, n=n, d=d, k=k, t=t, seed=seed, bis=0, bise=0, gpis=0, gpise=0,
+        answer=answer, truth="", success=None, witness_valid=None, elapsed_ms=0,
+    )
+    return report, f"{answer}: {message}"
+
+
 def run_sweep(config: SweepConfig) -> tuple[list[TrialReport], dict]:
     """Run every cell of the grid; return all reports plus a summary dict."""
     constants = DEFAULT_CONSTANTS.override(**config.constants)
     policy = EdgeSelectionPolicy(config.policy)
     reports: list[TrialReport] = []
     cells: dict[str, dict] = {}
-    for idx, algo, n, d, k, t, m, extra in _cells(config):
-        kind = ALGORITHMS[algo].kind
-        m_eff = m if m else _default_edge_count(kind, n, d, k)
-        cell_key = f"{algo}|n={n}|d={d}|k={k}|t={t}"
-        cell_reports = []
-        failures = 0
-        messages: set[str] = set()
-        for trial in range(config.trials):
-            seed = derive_seed(config.master_seed, "cell", idx, "trial", trial)
-            try:
-                hidden, _ = generate_instance(
-                    kind, n=n, d=d, k=k, seed=seed, m=m_eff, extra=extra, t=t or 2
-                )
-            except ValueError as exc:  # the generator cannot build this instance
-                answer, message = "infeasible", str(exc)
-            else:
-                try:
-                    report, _ = run_trial(
-                        algo, hidden, k, t=t, seed=seed, constants=constants, policy=policy
-                    )
-                    answer = None
-                except (ValueError, BudgetExceeded) as exc:
-                    failures += 1
-                    answer, message = f"error:{type(exc).__name__}", str(exc)
-            if answer is not None:
-                messages.add(f"{answer}: {message}")
-                report = TrialReport(
-                    algo=algo, n=n, d=d, k=k, t=t, seed=seed,
-                    bis=0, bise=0, gpis=0, gpise=0,
-                    answer=answer, truth="", success=None, witness_valid=None, elapsed_ms=0,
-                )
-            cell_reports.append(report)
-            reports.append(report)
+    for idx, cell in enumerate(_cells(config)):
+        seeds = [derive_seed(config.master_seed, "cell", idx, "trial", i)
+                 for i in range(config.trials)]
+        trials = [_sweep_trial(*cell, seed, constants, policy) for seed in seeds]
+        cell_reports = [report for report, _ in trials]
+        reports.extend(cell_reports)
         ok = [r for r in cell_reports if r.success is not None]
         queries = [r.bis + r.bise + r.gpis + r.gpise for r in ok]
-        cells[cell_key] = {
-            "algo": algo, "n": n, "d": d, "k": k, "t": t,
+        causes = Counter(r.answer for r in cell_reports if r.success is None)
+        algo, n, d, k, t, m, extra = cell
+        cells[f"{algo}|n={n}|d={d}|k={k}|t={t}|m={m}|extra={extra}"] = {
+            "algo": algo, "n": n, "d": d, "k": k, "t": t, "m": m, "extra": extra,
             "trials": len(cell_reports),
-            "errors": failures + sum(1 for r in cell_reports if r.answer == "budget-exceeded"),
-            "infeasible": sum(1 for r in cell_reports if r.answer == "infeasible"),
-            "causes": dict(Counter(r.answer for r in cell_reports if r.success is None)),
-            "messages": sorted(messages),
-            "success_rate": (
-                sum(1 for r in ok if r.success) / len(ok) if ok else None
-            ),
+            "errors": sum(causes.values()) - causes["infeasible"],
+            "infeasible": causes["infeasible"],
+            "causes": dict(causes),
+            "messages": sorted({message for _, message in trials if message is not None}),
+            "success_rate": sum(r.success for r in ok) / len(ok) if ok else None,
             "mean_queries": sum(queries) / len(queries) if queries else None,
             "max_queries": max(queries) if queries else None,
         }

@@ -178,6 +178,10 @@ def gen_planted_hitting_set(
         raise ValueError("k must be positive")
     if n < d:
         raise ValueError("need n >= d")
+    if k > n:
+        raise ValueError(f"cannot plant a {k}-set in {n} vertices")
+    if m < 0:
+        raise ValueError("m must be non-negative")
     feasible = math.comb(n, d) - math.comb(max(n - k, 0), d)
     if m > feasible:
         raise ValueError(f"cannot place {m} distinct edges meeting a {k}-set (max {feasible})")
@@ -208,6 +212,10 @@ def gen_planted_packing(
         raise ValueError("k must be positive")
     if d * k > n:
         raise ValueError(f"cannot pack {k} disjoint {d}-edges into {n} vertices")
+    if extra < 0:
+        raise ValueError("extra must be non-negative")
+    if k + extra > math.comb(n, d):
+        raise ValueError(f"cannot place {k + extra} distinct edges (max {math.comb(n, d)})")
     rng = rng_from(seed, "planted-packing", n, d, k, extra)
     perm = rng.permutation(n)
     planted = tuple(

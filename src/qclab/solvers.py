@@ -92,29 +92,12 @@ def _hs_within(edges: list[Edge], budget: int, search: _Search) -> list[int] | N
     return None
 
 
-def _greedy_cover_size(edges: list[Edge]) -> int:
-    rem = edges
-    size = 0
-    while rem:
-        counts: dict[int, int] = {}
-        for e in rem:
-            for v in e:
-                counts[v] = counts.get(v, 0) + 1
-        best = min(sorted(counts), key=lambda v: -counts[v])
-        rem = [e for e in rem if best not in e]
-        size += 1
-    return size
-
-
 def _min_hs(edges: list[Edge], search: _Search) -> tuple[int, ...]:
     if not edges:
         return ()
-    ub = _greedy_cover_size(edges)
-    size = ub
-    for s in range(_greedy_disjoint_count(edges), ub + 1):
-        if _hs_within(edges, s, search) is not None:
-            size = s
-            break
+    # the first feasible size from lb up: the vertices of lb's disjoint edges hit every edge
+    lb = _greedy_disjoint_count(edges)
+    size = next(s for s in itertools.count(lb) if _hs_within(edges, s, search) is not None)
     # lexicographically smallest optimum: extend vertex by vertex
     chosen: list[int] = []
     rem = edges

@@ -80,15 +80,15 @@ def sunflower_number(
     h: Hypergraph, core: tuple[int, ...] | frozenset[int], limits: SolverLimits = DEFAULT_LIMITS
 ) -> int:
     """Largest t such that `core` is the core of a t-sunflower in h."""
-    cs = frozenset(core)
-    if len(cs) >= h.d:
+    if len(set(core)) >= h.d:
         raise ValueError("a core must be a proper subset of an edge")
-    petals = tuple(
-        tuple(v for v in e if v not in cs) for e in h.edges if cs <= frozenset(e)
-    )
-    if not petals:
-        return 0
-    return len(_max_packing(tuple(sorted(petals)), _Search(limits)))
+    return len(_max_packing(_petals(h, core), _Search(limits)))
+
+
+def _petals(h: Hypergraph, core: tuple[int, ...] | frozenset[int]) -> tuple[Edge, ...]:
+    """The edges of h that contain `core`, with the core removed, sorted."""
+    cs = frozenset(core)
+    return tuple(sorted(tuple(v for v in e if v not in cs) for e in h.edges if cs <= frozenset(e)))
 
 
 def candidate_cores(h: Hypergraph, include_empty: bool = False) -> list[tuple[int, ...]]:
@@ -117,10 +117,7 @@ def find_sunflower(
     if t < 1:
         raise ValueError("t must be positive")
     for core in candidate_cores(h, include_empty=True):
-        cs = frozenset(core)
-        petals = tuple(
-            sorted(tuple(v for v in e if v not in cs) for e in h.edges if cs <= frozenset(e))
-        )
+        petals = _petals(h, core)
         if len(petals) < t:
             continue
         packing = _max_packing(petals, _Search(limits))
@@ -132,6 +129,8 @@ def find_sunflower(
 
 def erdos_rado_bound(d: int, t: int) -> int:
     """Edge count above which a t-sunflower must exist in a d-uniform family."""
+    if t < 1:
+        raise ValueError("t must be positive")
     return math.factorial(d) * (t - 1) ** d
 
 

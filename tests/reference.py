@@ -170,3 +170,100 @@ def frozenset_max_packing(edges, max_nodes=None):
     if m:
         rec(0, frozenset(), [])
     return tuple(best), nodes
+
+
+def used_color_cut_round(sampled: Hypergraph, color, solve):
+    """(size, lifted partition) of one cut round by contracting only the colors
+    that sampled edges use, in ascending order. `solve(contracted)` returns the
+    exact max t-cut of the contracted graph as (class parts, size). Vertices of
+    unused colors go to part 0; an empty sample is the all-zero partition of
+    size 0."""
+    used_colors = sorted({color[v] for e in sampled.edges for v in e})
+    if not used_colors:
+        return 0, tuple([0] * len(color))
+    index = {col: i for i, col in enumerate(used_colors)}
+    contracted = Hypergraph(
+        n=len(used_colors),
+        d=2,
+        edges=tuple(
+            sorted(tuple(sorted((index[color[u]], index[color[v]]))) for u, v in sampled.edges)
+        ),
+    )
+    class_parts, size = solve(contracted)
+    lifted = tuple(class_parts[index[col]] if col in index else 0 for col in color)
+    return size, lifted
+
+
+def greedy_bound_min_hs(edges):
+    """(minimum hitting set, search nodes) of the cover search that tries each
+    size from the disjoint-edge lower bound up to a greedy cover's size, then
+    extends the lex smallest optimum vertex by vertex, skipping vertices the
+    degree bound rules out. A node is one call of the size-bounded search on
+    a non-empty edge list."""
+    nodes = 0
+
+    def disjoint_count(es):
+        used: set[int] = set()
+        count = 0
+        for e in es:
+            if used.isdisjoint(e):
+                used.update(e)
+                count += 1
+        return count
+
+    def within(es, budget):
+        nonlocal nodes
+        if not es:
+            return []
+        nodes += 1
+        if budget <= 0 or disjoint_count(es) > budget:
+            return None
+        for v in es[0]:
+            sub = within([f for f in es if v not in f], budget - 1)
+            if sub is not None:
+                return [v] + sub
+        return None
+
+    def greedy_cover_size(es):
+        size = 0
+        while es:
+            counts: dict[int, int] = {}
+            for e in es:
+                for v in e:
+                    counts[v] = counts.get(v, 0) + 1
+            best = min(sorted(counts), key=lambda v: -counts[v])
+            es = [e for e in es if best not in e]
+            size += 1
+        return size
+
+    if not edges:
+        return (), 0
+    ub = greedy_cover_size(edges)
+    size = ub
+    for s in range(disjoint_count(edges), ub + 1):
+        if within(edges, s) is not None:
+            size = s
+            break
+    chosen: list[int] = []
+    rem = edges
+    budget = size
+    prev = -1
+    while rem:
+        degree: dict[int, int] = {}
+        for e in rem:
+            for v in e:
+                degree[v] = degree.get(v, 0) + 1
+        reach = (budget - 1) * max(degree.values())
+        for v in sorted(degree):
+            if v <= prev or len(rem) - degree[v] > reach:
+                continue
+            rest = [f for f in rem if v not in f]
+            if within(rest, budget - 1) is not None:
+                chosen.append(v)
+                rem = rest
+                budget -= 1
+                prev = v
+                break
+        else:
+            raise AssertionError("lex extension failed")
+    return tuple(chosen), nodes

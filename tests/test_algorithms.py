@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qclab.algorithms import (
+    _cut_round,
     AlgorithmConstants,
     DEFAULT_CONSTANTS,
     cut,
@@ -19,7 +22,7 @@ from qclab.algorithms import (
     vc_promised,
     vertex_cover,
 )
-from qclab.coloring import next_prime
+from qclab.coloring import HashColoring, next_prime
 from qclab.hypergraph import (
     gen_planted_cut,
     gen_planted_hitting_set,
@@ -27,7 +30,16 @@ from qclab.hypergraph import (
     new_hypergraph,
 )
 from qclab.oracle import EdgeSelectionPolicy, OracleSession
-from qclab.solvers import max_matching, max_set_packing, max_t_cut, min_hitting_set
+from qclab.sampler import sample_subhypergraph
+from qclab.solvers import (
+    DEFAULT_LIMITS,
+    max_matching,
+    max_set_packing,
+    max_t_cut,
+    min_hitting_set,
+)
+
+from reference import used_color_cut_round
 
 
 def fresh(h, **kw):
@@ -508,3 +520,34 @@ def test_vc_decision_tied_vote_resolves_to_no():
     ]
     assert votes.count(True) == 1 and len(votes) == 2
     assert r.answer is False
+
+
+@st.composite
+def cut_round_inputs(draw):
+    """A hidden graph, a coloring into b < n colors, a part count t and a policy."""
+    n = draw(st.integers(2, 12))
+    b = draw(st.integers(1, n - 1))
+    color = draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    hidden = new_hypergraph(n, 2, draw(st.lists(edge, max_size=20)))
+    t = draw(st.integers(2, 3))
+    policy = draw(st.sampled_from(list(EdgeSelectionPolicy)))
+    return hidden, HashColoring(n=n, b=b, color=tuple(color)), t, policy
+
+
+@given(cut_round_inputs())
+# an empty sample: every edge inside one class
+@example((new_hypergraph(4, 2, [(0, 1), (2, 3)]), HashColoring(4, 3, (2, 2, 0, 0)), 2,
+          EdgeSelectionPolicy.LEXICOGRAPHIC))
+# colors 0 and 4 hold vertices no sampled edge touches
+@example((new_hypergraph(7, 2, [(1, 2), (2, 3), (1, 3)]),
+          HashColoring(7, 6, (0, 1, 2, 3, 4, 4, 0)), 2, EdgeSelectionPolicy.LEXICOGRAPHIC))
+@settings(max_examples=200, deadline=None)
+def test_cut_round_matches_the_used_color_contraction(inputs):
+    hidden, coloring, t, policy = inputs
+    with OracleSession(hidden, policy=policy, policy_seed=7) as session:
+        sample = sample_subhypergraph(session, coloring)
+    expected = used_color_cut_round(
+        sample.graph, coloring.color, lambda g: max_t_cut(g, t, DEFAULT_LIMITS)
+    )
+    assert _cut_round(t, DEFAULT_LIMITS)(sample, coloring) == expected

@@ -377,3 +377,45 @@ def test_sweep_summary_counts_each_cause_of_a_missing_verdict(monkeypatch):
     assert cell["messages"] == [
         "error:BudgetExceeded: truth out of budget", "error:ValueError: algorithm broke"
     ]
+
+
+def test_sweep_summarizes_cells_that_differ_only_in_m_or_extra_apart():
+    cfg = SweepConfig(algorithms=["vc-decision"], n=[12], k=[2], m=[10, 20], trials=2)
+    reports, summary = run_sweep(cfg)
+    assert len(reports) == 4
+    assert {key: cell["trials"] for key, cell in summary["cells"].items()} == {
+        "vc-decision|n=12|d=2|k=2|t=None|m=10|extra=10": 2,
+        "vc-decision|n=12|d=2|k=2|t=None|m=20|extra=10": 2,
+    }
+    assert [(c["m"], c["extra"]) for c in summary["cells"].values()] == [(10, 10), (20, 10)]
+
+
+def test_sweep_writes_an_infeasible_row_when_extra_edges_do_not_fit():
+    # 1 planted + 100 extra distinct edges do not fit in C(4, 2) = 6
+    cfg = SweepConfig(algorithms=["packing"], n=[4], k=[1], extra=[2, 100], trials=1)
+    reports, summary = run_sweep(cfg)
+    assert reports[0].answer in ("found", "not-exists")
+    assert reports[1].answer == "infeasible"
+    cell = summary["cells"]["packing|n=4|d=2|k=1|t=None|m=0|extra=100"]
+    assert cell["messages"] == ["infeasible: cannot place 101 distinct edges (max 6)"]
+
+
+def test_run_trial_rejects_t_for_an_algorithm_without_parts(tmp_path, capsys):
+    h, _ = generate_instance("planted-packing", n=8, d=2, k=2, seed=1, extra=2)
+    with pytest.raises(ValueError, match="packing takes no t"):
+        run_trial("packing", h, 1, t=3)
+    inst = tmp_path / "p.hg"
+    cli_main(["gen", "planted-packing", "--n", "8", "--k", "2", "--extra", "2", "-o", str(inst)])
+    capsys.readouterr()
+    assert cli_main(["run", "packing", str(inst), "--k", "1", "--t", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "packing takes no t" in captured.err
+
+
+def test_cli_gen_reports_edges_that_do_not_fit(tmp_path, capsys):
+    out = tmp_path / "p.hg"
+    rc = cli_main(["gen", "planted-packing", "--n", "4", "--k", "1", "--extra", "100",
+                   "-o", str(out)])
+    assert rc == 1
+    assert "cannot place 101 distinct edges" in capsys.readouterr().err
+    assert not out.exists()

@@ -193,3 +193,22 @@ def test_generators_validate_invariants(seed):
     h, _ = gen_planted_hitting_set(15, 2, 2, 20, seed=seed)
     # construction re-checks invariants; just re-build to assert canonical form
     assert Hypergraph(n=h.n, d=h.d, edges=h.edges) == h
+
+
+def test_planted_packing_rejects_more_edges_than_fit():
+    with pytest.raises(ValueError, match="cannot place 101 distinct edges"):
+        gen_planted_packing(4, 2, 1, 100, seed=0)
+    h, _ = gen_planted_packing(4, 2, 1, 5, seed=0)  # every pair of 4 vertices
+    assert h.m == 6
+
+
+def test_planted_generators_reject_negative_counts():
+    with pytest.raises(ValueError, match="extra must be non-negative"):
+        gen_planted_packing(10, 2, 2, -1, seed=0)
+    with pytest.raises(ValueError, match="m must be non-negative"):
+        gen_planted_hitting_set(10, 2, 2, -1, seed=0)
+
+
+def test_planted_hitting_set_rejects_a_set_larger_than_n():
+    with pytest.raises(ValueError, match="cannot plant a 5-set in 4 vertices"):
+        gen_planted_hitting_set(4, 2, 5, 3, seed=0)

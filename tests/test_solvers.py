@@ -10,6 +10,7 @@ from qclab.solvers import (
     BudgetExceeded,
     SolverLimits,
     _max_packing,
+    _min_hs,
     _Search,
     degree_profile,
     max_matching,
@@ -28,6 +29,7 @@ from reference import (
     brute_min_cover,
     frozenset_max_packing,
     frozenset_representative_family,
+    greedy_bound_min_hs,
 )
 
 
@@ -341,3 +343,13 @@ def test_representative_family_keeps_its_time_budget():
     assert h.m > 40
     with pytest.raises(BudgetExceeded):
         representative_family(h, 5, SolverLimits(time_budget_ms=0))
+
+
+@given(small_hypergraphs(max_n=11, max_m=24))
+@example(new_hypergraph(5, 2, []))
+@example(new_hypergraph(9, 3, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7)]))
+@settings(max_examples=150, deadline=None)
+def test_cover_and_node_count_match_the_greedy_bound_reference(h):
+    # the size search stops at the first feasible size with no greedy upper bound
+    search = _Search(SolverLimits())
+    assert (_min_hs(list(h.edges), search), search.nodes) == greedy_bound_min_hs(list(h.edges))

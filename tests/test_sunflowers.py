@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph, union
 from qclab.oracle import OracleSession
@@ -174,3 +175,11 @@ def test_union_of_samples_keeps_structure():
         if all(sunflower_number(out.graph, c) > k for c in report.minimal_large_cores):
             ok += 1
     assert ok >= 95
+
+
+def test_erdos_rado_bound_rejects_t_below_one():
+    with pytest.raises(ValueError, match="t must be positive"):
+        erdos_rado_bound(2, 0)
+    with pytest.raises(ValueError, match="t must be positive"):
+        erdos_rado_bound(3, 0)
+    assert erdos_rado_bound(3, 1) == 0
