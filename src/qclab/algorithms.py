@@ -23,15 +23,18 @@ round succeed with constant probability; override any field to experiment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import HashColoring, perfect_family, random_coloring
+from .coloring import HashColoring, class_labels, perfect_family, random_coloring
 from .hypergraph import Edge, Hypergraph, crossing_edges, hits_every_edge, is_packing
 from .hypergraph import new_hypergraph
 from .oracle import OracleSession, QueryStats
 from .rng import rng_from
-from .sampler import quotient_existence, sample_subhypergraph, sample_union
+# `quotient_existence` and `sample_subhypergraph` are kept for perfbench's tracer
+from .sampler import quotient_existence, quotients, sample_subhypergraph  # noqa: F401
+from .sampler import sample_union, samples
 from .solvers import (
     DEFAULT_LIMITS,
     SolverLimits,
@@ -72,8 +75,10 @@ class AlgorithmConstants:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)  # None: the arity default, where the default is None
-            if not (value is None and f.default is None) and value < 1:
-                raise ValueError(f"{f.name} must be at least 1")
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{f.name} must be an integer of at least 1, got {value!r}")
 
     def pack_gamma_for(self, d: int) -> int:
         return self.pack_gamma if self.pack_gamma is not None else 100 * d * d
@@ -88,6 +93,9 @@ class AlgorithmConstants:
         return self.hs_decision_gamma if self.hs_decision_gamma is not None else 100 * 9**d * d * d
 
     def override(self, **kwargs) -> "AlgorithmConstants":
+        unknown = sorted(set(kwargs) - {f.name for f in fields(self)})
+        if unknown:
+            raise ValueError(f"unknown constants: {unknown}")
         return replace(self, **kwargs)
 
 
@@ -117,11 +125,7 @@ class AlgorithmResult:
 
     def query_counts_by_round(self, d: int) -> tuple[int, ...]:
         """Closed-form C(q_r, d) per round, recomputed from the colorings."""
-        counts = []
-        for c in self.colorings:
-            q = len(set(c.color))
-            counts.append(math.comb(q, d))
-        return tuple(counts)
+        return tuple(math.comb(len(set(c.color)), d) for c in self.colorings)
 
 
 def _check_args(
@@ -172,18 +176,12 @@ def _random_colorings(n: int, b: int, rounds: int, seed: int) -> list[HashColori
     return [random_coloring(n, b, rng_from(seed, "round", r)) for r in range(rounds)]
 
 
-def _rounds(
-    session: OracleSession,
-    colorings,
-    solve: Callable[[Any, HashColoring], Any],
-    existence: bool = False,
-) -> Iterator:
+def _rounds(session: OracleSession, colorings, solve: Callable, existence=False) -> Iterator:
     """Run one round per coloring, in order: probe it through the oracle (a
     witness-query sample, or with `existence` a class quotient) and yield
-    what `solve` makes of the small instance."""
-    probe = quotient_existence if existence else sample_subhypergraph
-    for c in colorings:
-        yield solve(probe(session, c), c)
+    what `solve` makes of the small instance. The oracle asks colorings in
+    blocks: a round that raises leaves the rest of its block asked."""
+    return map(solve, (quotients if existence else samples)(session, colorings), colorings)
 
 
 def _best(
@@ -468,10 +466,9 @@ def _cut_round(t: int, limits: SolverLimits):
         """Exact max t-cut of the sampled edges over whole-class assignments."""
         # contract each color class to one node, in ascending color order;
         # sampled edges join distinct classes
-        rank = {col: i for i, col in enumerate(sorted(set(c.color)))}
-        label = [rank[col] for col in c.color]
+        label = class_labels([c.color])[0].tolist()
         edges = [(label[u], label[v]) for u, v in sample.graph.edges]
-        class_parts, size = max_t_cut(new_hypergraph(len(rank), 2, edges), t, limits)
+        class_parts, size = max_t_cut(new_hypergraph(max(label) + 1, 2, edges), t, limits)
         lifted = tuple(class_parts[i] for i in label)
         # verify against the sampled evidence
         if crossing_edges(lifted, sample.graph) != size:
@@ -499,11 +496,8 @@ def cut_decision(
     _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
-
-    def solve(quotient, c: HashColoring) -> tuple[int, None]:
-        return max_t_cut(quotient.graph, t, limits)[1], None
-
-    return _best(session, k, colorings, solve, constants, existence=True)
+    return _best(session, k, colorings, lambda q, c: (max_t_cut(q.graph, t, limits)[1], None),
+                 constants, existence=True)
 
 
 def cut_deterministic(

@@ -84,6 +84,7 @@ def class_labels(colors: np.ndarray) -> np.ndarray:
     """Per row of `colors` (t, n), the class index of every vertex: the rank
     of its color among the row's distinct colors, so that classes run in
     ascending color order as in `classes`."""
+    colors = np.asarray(colors)
     rows = np.arange(len(colors))[:, None]
     order = colors.argsort(axis=1)
     ranked = colors[rows, order]

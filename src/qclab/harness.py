@@ -331,6 +331,7 @@ class SweepConfig:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
         EdgeSelectionPolicy(self.policy)  # "lex" or "random"; anything else is a ValueError
+        DEFAULT_CONSTANTS.override(**self.constants)  # unknown names and bad values too
 
     @staticmethod
     def from_json(obj: dict) -> "SweepConfig":

@@ -15,15 +15,14 @@ disjoint each vertex lies in at most one part, so the matching test reduces
 to "the d vertices cover all d parts exactly once".
 
 ``ask_all(witness, sets)`` asks one query per d-tuple of q disjoint sets (a
-coloring's classes) at once, and ``ask_coloring(witness, color)`` does the
-same for the non-empty classes of a coloring given as one integer color per
-vertex. Every edge qualifies for at most one tuple, the tuple of the classes
-its vertices lie in, so a single numpy pass over the edge matrix answers all
-C(q, d) of them. That pass takes label rows, one per coloring: each vertex's
-class index, or -1 for a vertex in no set. The four endpoints and
-``ask_all`` are one row; ``witness_union(colorings)`` evaluates many
-colorings as blocks of rows. Counters, witnesses, random-policy call indices
-and log lines are the same however the queries are grouped into calls.
+coloring's classes) at once. Every edge qualifies for at most one tuple, the
+tuple of the classes its vertices lie in, so a single numpy pass over the
+edge matrix answers all C(q, d) of them. That pass takes label rows: each
+vertex's class index, or -1 for a vertex in no set. The four endpoints and
+``ask_all`` are one row; ``ask_colorings(witness, colorings)`` turns
+colorings into rows and evaluates them lazily in blocks, and
+``ask_coloring`` is its one-row view. Counters, witnesses, random-policy call
+indices and log lines are the same however the queries are grouped.
 
 Which qualifying edge a witness query returns is a policy: ``LEXICOGRAPHIC``
 (the globally smallest in canonical order, the reproducible default) or
@@ -34,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,12 +68,7 @@ class QueryStats:
         return self.bis + self.bise + self.gpis + self.gpise
 
     def __sub__(self, other: "QueryStats") -> "QueryStats":
-        return QueryStats(
-            bis=self.bis - other.bis,
-            bise=self.bise - other.bise,
-            gpis=self.gpis - other.gpis,
-            gpise=self.gpise - other.gpise,
-        )
+        return QueryStats(*(a - b for a, b in zip(astuple(self), astuple(other))))
 
 
 class OracleSession:
@@ -120,8 +114,7 @@ class OracleSession:
         self.close()
 
     def stats(self) -> QueryStats:
-        c = self._counts
-        return QueryStats(bis=c[0], bise=c[1], gpis=c[2], gpise=c[3])
+        return QueryStats(*self._counts)
 
     # -- query kinds ---------------------------------------------------
 
@@ -143,25 +136,36 @@ class OracleSession:
         d > 2) or existence queries (bis / gpis). Costs C(len(sets), d) on
         that kind's counter. Returns the non-empty answers keyed by the
         tuple of set indices: the witness edge, or True."""
-        return self._answers(self._kind(witness), self._set_labels(sets))
+        return self._as_dict(witness, *self._run(self._kind(witness), self._set_labels(sets))[1:])
 
     def ask_coloring(self, witness: bool, color: Sequence[int]) -> dict:
         """`ask_all` over the non-empty classes of `color` (one integer color
         per vertex), classes in ascending color order."""
-        return self._answers(self._kind(witness), self._color_labels([color]))
+        _, tuples, picks = next(self.ask_colorings(witness, [color]))
+        return self._as_dict(witness, tuples, picks)
 
-    def witness_union(self, colorings: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-        """Ask the witness queries of each coloring in turn, exactly as
-        `ask_coloring` would (same counters, random picks and log lines), and
-        return the distinct witnesses in canonical order. Colorings are
-        evaluated in blocks of bounded size."""
+    def ask_colorings(self, witness: bool, colorings: Iterable[Sequence[int]]) -> Iterator[tuple]:
+        """`ask_coloring`'s queries for each coloring in turn, evaluated in
+        blocks of bounded size when the block's first row is taken. Yields per
+        coloring its label row, its answered class tuples (combinations order)
+        and the indices of the answering edges (see `witnesses`)."""
+        kind = self._kind(witness)
         rows = max(1, _BLOCK_ELEMENTS // max(self._n, self._edge_mat.size))
         colorings = iter(colorings)
-        found = np.zeros(len(self._edge_mat), dtype=bool)
         while block := list(itertools.islice(colorings, rows)):
-            found[self._run(self._kind(True), self._color_labels(block))[2]] = True
+            colors = np.asarray(block)
+            if colors.ndim != 2 or colors.shape[1] != self._n or colors.dtype.kind not in "iu":
+                raise ValueError(f"a coloring gives each of the {self._n} vertices an integer")
+            labels = class_labels(colors)
+            row_of, tuples, picks = self._run(kind, labels)
+            bounds = np.searchsorted(row_of, np.arange(len(block) + 1)).tolist()
+            for row, (lo, hi) in zip(labels, itertools.pairwise(bounds)):
+                yield row, tuples[lo:hi], picks[lo:hi]
+
+    def witnesses(self, picks: Iterable[int]) -> tuple[Edge, ...]:
+        """The hidden edges at the indices `picks` of witness answers."""
         edges = self._hidden.edges
-        return tuple(edges[i] for i in np.flatnonzero(found).tolist())
+        return tuple(edges[i] for i in picks)
 
     # -- internals -----------------------------------------------------
 
@@ -175,49 +179,34 @@ class OracleSession:
             raise ValueError(f"{_KINDS[kind]} requires a hidden graph (d=2), have d={self._d}")
         if len(parts) != d:
             raise ValueError(f"expected {d} parts, got {len(parts)}")
-        answers = self._answers(kind, self._set_labels(parts))
+        answers = self._as_dict(kind & 1, *self._run(kind, self._set_labels(parts))[1:])
         return answers.get(tuple(range(d)), None if kind & 1 else False)
 
     def _set_labels(self, sets: Sequence[Iterable[int]]) -> np.ndarray:
         """The label row of `sets` (see `_run`), rejecting malformed sets
         before any counter moves."""
         n = self._n
-        seen: set[int] = set()
-        vertices: list[int] = []
-        labels: list[int] = []
+        row = [-1] * n
         for i, p in enumerate(sets):
-            size = len(vertices)
+            empty = True
             for v in p:
                 if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                     raise ValueError("part vertices must be integers")
                 if not 0 <= v < n:
                     raise ValueError(f"part vertex outside [0, {n})")
-                if v in seen:
+                if row[v] >= 0:
                     raise ValueError("parts must be pairwise disjoint (and duplicate-free)")
-                seen.add(v)
-                vertices.append(v)
-            if len(vertices) == size:
+                row[v], empty = i, False
+            if empty:
                 raise ValueError("parts must be non-empty")
-            labels += [i] * (len(vertices) - size)
-        row = np.full((1, n), -1, dtype=np.int32)
-        row[0, np.array(vertices, dtype=np.intp)] = labels
-        return row
+        return np.array([row], dtype=np.int32)
 
-    def _color_labels(self, colors) -> np.ndarray:
-        """Label rows of colorings, rejecting any that is not n integers."""
-        colors = np.asarray(colors)
-        if colors.ndim != 2 or colors.shape[1] != self._n or colors.dtype.kind not in "iu":
-            raise ValueError(f"a coloring gives an integer color to each of the {self._n} vertices")
-        return class_labels(colors)
-
-    def _answers(self, kind: int, labels: np.ndarray) -> dict:
-        """The non-empty answers of a one-row `_run`, keyed by class tuple."""
-        _, tuples, picks = self._run(kind, labels)
+    def _as_dict(self, witness: bool, tuples: np.ndarray, picks: np.ndarray) -> dict:
+        """Non-empty answers of one row, keyed by class tuple."""
         keys = map(tuple, tuples.tolist())
-        if not kind & 1:
+        if not witness:
             return dict.fromkeys(keys, True)
-        edges = self._hidden.edges
-        return {t: edges[i] for t, i in zip(keys, picks.tolist())}
+        return dict(zip(keys, self.witnesses(picks.tolist())))
 
     def _run(self, kind: int, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one evaluation path. Each row of `labels` (t, n) gives every

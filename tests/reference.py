@@ -6,8 +6,11 @@ Everything here enumerates; nothing shares code with the solvers under test.
 from __future__ import annotations
 
 import itertools
+import math
 
+from qclab.coloring import classes
 from qclab.hypergraph import Hypergraph
+from qclab.sampler import QuotientInstance, SampledSubgraph
 
 
 def brute_min_cover(h: Hypergraph) -> tuple[int, ...]:
@@ -267,3 +270,21 @@ def greedy_bound_min_hs(edges):
         else:
             raise AssertionError("lex extension failed")
     return tuple(chosen), nodes
+
+
+def one_coloring_rounds(session, colorings, solve, existence=False):
+    """The round driver asked one coloring at a time: each coloring's queries
+    go through `ask_all` over its classes, and its sample (the witness edges
+    on the original vertices) or class quotient is built from the answers
+    before `solve` sees it."""
+    for c in colorings:
+        sets = classes(c).vertex_sets()
+        answers = session.ask_all(not existence, sets)
+        if existence:
+            class_of = {v: i for i, vs in enumerate(sets) for v in vs}
+            graph = Hypergraph(n=len(sets), d=session.d, edges=tuple(sorted(answers)))
+            probe = QuotientInstance(graph, tuple(class_of[v] for v in range(c.n)))
+        else:
+            graph = Hypergraph(n=session.n, d=session.d, edges=tuple(sorted(answers.values())))
+            probe = SampledSubgraph(graph, (c,), math.comb(len(sets), session.d))
+        yield solve(probe, c)

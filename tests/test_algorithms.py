@@ -81,6 +81,20 @@ def test_constants_validate():
     assert DEFAULT_CONSTANTS.hs_decision_gamma_for(2) == 100 * 81 * 4
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", True, None])
+def test_constants_reject_non_integers_before_any_query(value):
+    h, _ = gen_planted_packing(12, 2, 2, 0, seed=1)
+    s = fresh(h)
+    with pytest.raises(ValueError, match="boost_c"):
+        packing(s, 2, constants=DEFAULT_CONSTANTS.override(boost_c=value))
+    with pytest.raises(ValueError, match="pack_gamma"):
+        AlgorithmConstants(pack_gamma=value if value is not None else 0.5)
+    assert total_queries(s.stats()) == 0
+    with pytest.raises(ValueError, match="nope"):
+        DEFAULT_CONSTANTS.override(nope=1)
+
+
+
 # -- packing -----------------------------------------------------------
 
 

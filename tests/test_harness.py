@@ -222,6 +222,19 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(summary["cells"]) == 2
 
 
+@pytest.mark.parametrize("constants, named", [({"nope": 1}, "nope"), ({"boost_c": 1.5}, "boost_c")])
+def test_cli_sweep_rejects_bad_constants_cleanly(tmp_path, capsys, constants, named):
+    cfg = {"algorithms": ["vc-decision"], "n": [12], "k": [1], "constants": constants}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["sweep", str(cfg_path)])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error:") and named in out.err
+    with pytest.raises(ValueError, match=named):
+        SweepConfig.from_json(cfg)
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     # the installed console script answers --help
     proc = subprocess.run(

@@ -5,16 +5,22 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclab.algorithms
 import qclab.oracle
+from qclab.algorithms import AlgorithmConstants, _random_colorings, packing
 from qclab.coloring import HashColoring, classes, random_coloring
-from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph
+from qclab.harness import run_trial
+from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, gen_planted_packing, new_hypergraph
 from qclab.oracle import EdgeSelectionPolicy, OracleSession, QueryStats
-from qclab.rng import rng_from
+from qclab.rng import derive_seed, rng_from
 from qclab.sampler import quotient_existence, sample_subhypergraph, sample_union
-from qclab.solvers import degree_profile
+from qclab.solvers import BudgetExceeded, SolverLimits, degree_profile
+
+from reference import one_coloring_rounds
 
 
 def test_single_class_no_queries():
@@ -236,3 +242,72 @@ def test_sample_union_spans_blocks_at_the_default_size(tmp_path):
     t = 2 * qclab.oracle._BLOCK_ELEMENTS // max(h.n, h.m * h.d) + 1
     for policy in EdgeSelectionPolicy:
         _assert_union_is_sequential(h, 12, t, 3, policy, 5, tmp_path)
+
+
+# -- rounds in blocks ----------------------------------------------------------
+
+
+def _run_rounds(algo, h, k, t, seed, constants, policy, policy_seed, log_path):
+    args = (t, k) if t is not None else (k,)
+    with OracleSession(h, policy, policy_seed, log_path=log_path) as session:
+        result = getattr(qclab.algorithms, algo)(session, *args, seed=seed, constants=constants)
+        return result, session.stats()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["packing", "cut", "vc_decision", "cut_decision"]), st.data())
+def test_blocked_rounds_equal_one_coloring_at_a_time(algo, data):
+    d = data.draw(st.sampled_from([2, 3])) if algo == "packing" else 2
+    n = data.draw(st.integers(5, 10))
+    all_edges = list(itertools.combinations(range(n), d))
+    h = new_hypergraph(n, d, data.draw(st.lists(st.sampled_from(all_edges), unique=True)))
+    # every coloring has at most 4 colors, fewer than the vertices
+    k = data.draw(st.integers(0, 1) if algo == "vc_decision" else st.integers(1, 2))
+    t = data.draw(st.integers(2, 3)) if algo.startswith("cut") else None
+    constants = AlgorithmConstants(
+        pack_gamma=1, cut_colors_factor=1, vc_decision_colors_factor=data.draw(st.integers(1, 4)),
+        boost_c=data.draw(st.integers(1, 9)),
+    )
+    seed, policy_seed = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1))
+    block = data.draw(st.integers(1, 4)) * max(n, h.m * d)  # 1 to 4 rows
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in EdgeSelectionPolicy:
+            run = (algo, h, k, t, seed, constants, policy, policy_seed)
+            with mock.patch.object(qclab.oracle, "_BLOCK_ELEMENTS", block):
+                blocked, blocked_stats = _run_rounds(*run, f"{tmp}/blocked.log")
+            with mock.patch.object(qclab.algorithms, "_rounds", one_coloring_rounds):
+                single, single_stats = _run_rounds(*run, f"{tmp}/single.log")
+            assert blocked.answer == single.answer
+            assert blocked.witness == single.witness
+            assert blocked.colorings == single.colorings
+            assert blocked.stats == single.stats
+            assert blocked_stats == single_stats
+            assert blocked.stats.total == sum(blocked.query_counts_by_round(d))
+            log = Path(f"{tmp}/blocked.log").read_bytes()
+            assert log == Path(f"{tmp}/single.log").read_bytes()
+            assert log.count(b"\n") == blocked.stats.total
+
+
+def test_a_budget_trip_leaves_the_rest_of_its_block_asked(tmp_path):
+    """A round whose solver trips its budget ends the run, but the rounds
+    evaluated in the same block were asked already: they stay counted and
+    logged. With blocks of r rows, a trip in round 0 counts rounds 0..r-1."""
+    h, _ = gen_planted_packing(10, 2, 2, 6, seed=1)
+    constants = AlgorithmConstants(pack_gamma=1, boost_c=4)  # 4 rounds at 4 colors
+    trip = SolverLimits(max_branch_nodes=0)  # the first solve raises
+    per_round = [math.comb(len(set(c.color)), 2) for c in _random_colorings(h.n, 4, 4, 3)]
+    assert 0 < per_round[0] < sum(per_round)
+    for rows in (1, 2, 3, 4, 6):
+        log = tmp_path / f"rows{rows}.log"
+        with mock.patch.object(qclab.oracle, "_BLOCK_ELEMENTS", rows * max(h.n, h.m * h.d)):
+            with OracleSession(h, log_path=str(log)) as session:
+                with pytest.raises(BudgetExceeded):
+                    packing(session, 2, seed=3, constants=constants, limits=trip)
+                assert session.stats() == QueryStats(bise=sum(per_round[:rows]))
+        assert len(log.read_text().splitlines()) == sum(per_round[:rows])
+    # a trial's report counts them too; at the default block size all four
+    # rounds of this instance form one block
+    colorings = _random_colorings(h.n, 4, 4, derive_seed(5, "algo"))
+    report, result = run_trial("packing", h, 2, seed=5, constants=constants, limits=trip)
+    assert result is None and report.answer == "budget-exceeded"
+    assert report.bise == sum(math.comb(len(set(c.color)), 2) for c in colorings)
