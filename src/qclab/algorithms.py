@@ -46,6 +46,11 @@ from .solvers import (
 )
 
 
+def is_integer(value: object) -> bool:
+    """An integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def log_k(k: int) -> int:
     """ceil(log2 k) clamped to at least 1; the repetition scale."""
     return max(1, (max(k, 1) - 1).bit_length())
@@ -77,7 +82,7 @@ class AlgorithmConstants:
             value = getattr(self, f.name)  # None: the arity default, where the default is None
             if value is None and f.default is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{f.name} must be an integer of at least 1, got {value!r}")
 
     def pack_gamma_for(self, d: int) -> int:
@@ -133,10 +138,10 @@ def _check_args(
 ) -> None:
     """Reject invalid arguments before any query runs; `graph` names the
     problem when it needs d=2."""
-    if t is not None and t < 2:
-        raise ValueError("t must be at least 2")
-    if k < k_min:
-        raise ValueError("k must be positive" if k_min else "k must be non-negative")
+    if t is not None and (not is_integer(t) or t < 2):
+        raise ValueError(f"t must be an integer of at least 2, got {t!r}")
+    if not is_integer(k) or k < k_min:
+        raise ValueError(f"k must be an integer of at least {k_min}, got {k!r}")
     if graph and session.d != 2:
         raise ValueError(f"{graph} needs a graph (d=2)")
 

@@ -43,7 +43,7 @@ from .solvers import (
     max_set_packing,
     max_t_cut,
     min_hitting_set,
-    min_vertex_cover,
+    min_vertex_cover,  # noqa: F401  # kept for perfbench's tracer; verify reuses the hitting set
     representative_family,
 )
 from .sunflowers import classify_cores
@@ -322,15 +322,26 @@ class SweepConfig:
     summary_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed"):
+            if not alg.is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for name in ("algorithms", "n", "k", "d", "t", "m", "extra"):
-            if not getattr(self, name):
-                raise ValueError(f"grid {name} must be non-empty")
+            grid = getattr(self, name)
+            if not isinstance(grid, list) or not grid:
+                raise ValueError(f"grid {name} must be a non-empty list, got {grid!r}")
+            if name != "algorithms" and not all(map(alg.is_integer, grid)):
+                raise ValueError(f"grid {name} must hold integers, got {grid!r}")
         for a in self.algorithms:
-            if a not in ALGORITHMS:
+            if not isinstance(a, str) or a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        for name in ("csv_path", "summary_path"):  # an int would be taken as a file descriptor
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
         EdgeSelectionPolicy(self.policy)  # "lex" or "random"; anything else is a ValueError
+        if not isinstance(self.constants, dict):
+            raise ValueError(f"constants must be an object, got {self.constants!r}")
         DEFAULT_CONSTANTS.override(**self.constants)  # unknown names and bad values too
 
     @staticmethod
@@ -484,11 +495,11 @@ def verify_instance(
             out[name] = f"skipped:{exc}"
 
     attempt("min_hitting_set", lambda: list(min_hitting_set(hidden, limits)))
-    if hidden.d == 2:
-        attempt("min_vertex_cover", lambda: list(min_vertex_cover(hidden, limits)))
-        attempt("max_matching", lambda: [list(e) for e in max_matching(hidden, limits)])
-        attempt("max_t_cut", lambda: max_t_cut(hidden, t, limits)[1])
     attempt("max_set_packing", lambda: [list(e) for e in max_set_packing(hidden, limits)])
+    if hidden.d == 2:  # a graph's vertex cover and matching are the two just solved
+        out["min_vertex_cover"] = out["min_hitting_set"]
+        out["max_matching"] = out["max_set_packing"]
+        attempt("max_t_cut", lambda: max_t_cut(hidden, t, limits)[1])
     attempt(
         "representative_family_size",
         lambda: len(representative_family(hidden, k, limits, guard=guard)),

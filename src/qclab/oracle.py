@@ -85,6 +85,8 @@ class OracleSession:
         policy_seed: int = 0,
         log_path: str | None = None,
     ) -> None:
+        if not isinstance(policy, EdgeSelectionPolicy):
+            raise ValueError(f"policy must be an EdgeSelectionPolicy, got {policy!r}")
         self._hidden = hidden
         self._n = hidden.n
         self._d = hidden.d

@@ -20,8 +20,6 @@ import operator
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hypergraph import Edge, Hypergraph
 
 
@@ -36,10 +34,6 @@ class SolverLimits:
 
 
 DEFAULT_LIMITS = SolverLimits()
-
-# cap on the entries of one block of representative_family's vertex sets X:
-# its (X, vertex) index array plus its (X, edge) avoid matrix
-_AVOID_BLOCK_ELEMENTS = 1 << 18
 
 
 class _Search:
@@ -266,15 +260,14 @@ def representative_family(
     """Sub-family preserving, for every vertex set X with |X| <= k, the
     existence of an edge avoiding X.
 
-    Greedy deletion over the canonical edge order; a deletion is allowed only
-    when every X currently avoided by the edge keeps another avoider, so the
-    defining property holds at every step by construction. The surviving
-    family is irredundant, which caps its size at C(k+d, d).
-
-    The sets X are enumerated in blocks of the combinations order, and each
-    block becomes columns of one boolean edge-by-X avoid matrix; only the
-    columns with an avoider are kept. The time budget is checked between
-    blocks and between deletions.
+    Greedy deletion over the canonical edge order: an edge e stays only when
+    some X of at most k vertices, disjoint from e, hits every other kept edge,
+    that is when the petals f - e of the other kept edges f have a hitting set
+    of size <= k. So every X keeps an avoider at every step, and the surviving
+    family is irredundant, which caps its size at C(k+d, d). The petal search
+    counts its nodes against the limits, and the time budget is also checked
+    once per edge. Instances with more than `guard` sets X (the sum of C(n, j)
+    over j <= k) are refused with a ValueError.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -282,38 +275,10 @@ def representative_family(
     if total > guard:
         raise ValueError(f"enumerating {total} sets X exceeds guard {guard}")
     search = _Search(limits)
-    edges = h.edges
-    m = len(edges)
-    if not m:
-        return ()
-    # transposed incidence: row v marks the edges containing vertex v
-    contains = np.zeros((h.n, m), dtype=bool)
-    contains[np.array(edges).T, np.arange(m)] = True
-    blocks = [np.ones((1, m), dtype=bool)]  # X = {} is avoided by every edge
-    for size in range(1, k + 1):
-        combos = itertools.combinations(range(h.n), size)
-        per_block = max(1, _AVOID_BLOCK_ELEMENTS // (m + size))
-        while True:
-            search.check_deadline()
-            xs = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, per_block)),
-                dtype=np.intp,
-            ).reshape(-1, size)
-            if not len(xs):
-                break
-            hit = contains[xs[:, 0]]
-            for c in range(1, size):
-                hit |= contains[xs[:, c]]
-            avoids = ~hit
-            blocks.append(avoids[avoids.any(axis=1)])
-    avoids = np.concatenate(blocks).T.copy()  # edge i's row: the X it avoids
-    counts = avoids.sum(axis=0)
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
+    kept = list(h.edges)
+    for e in h.edges:
         search.check_deadline()
-        row = avoids[i]
-        if (counts[row] >= 2).all():
-            keep[i] = False
-            counts[row] -= 1
-    assert (counts >= 1).all(), "representative property broken; solver bug"
-    return tuple(e for e, kept in zip(edges, keep) if kept)
+        petals = [tuple(v for v in f if v not in e) for f in kept if f != e]
+        if _hs_within(petals, k, search) is None:
+            kept.remove(e)
+    return tuple(kept)

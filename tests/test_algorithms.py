@@ -23,6 +23,7 @@ from qclab.algorithms import (
     vertex_cover,
 )
 from qclab.coloring import HashColoring, next_prime
+from qclab.harness import run_trial
 from qclab.hypergraph import (
     gen_planted_cut,
     gen_planted_hitting_set,
@@ -94,8 +95,25 @@ def test_constants_reject_non_integers_before_any_query(value):
         DEFAULT_CONSTANTS.override(nope=1)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "2", True])
+def test_k_and_t_reject_non_integers_before_any_query(value):
+    h, _ = gen_planted_cut(12, 2, 3, seed=1)
+    s = fresh(h)
+    for fn in (packing, packing_deterministic, matching_promised, vc_promised, vertex_cover,
+               vc_decision, hs_promised, hitting_set, hs_decision):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fn(s, value)
+    for fn in (cut, cut_decision, cut_deterministic):  # (session, t, k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fn(s, 2, value)
+        with pytest.raises(ValueError, match="t must be an integer"):
+            fn(s, value, 1)
+    assert total_queries(s.stats()) == 0
+    with pytest.raises(ValueError, match="k must be an integer"):
+        run_trial("packing", h, value)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        run_trial("cut", h, 1, t=value)
 
-# -- packing -----------------------------------------------------------
 
 
 def test_packing_finds_planted_disjoint_edges():

@@ -235,6 +235,32 @@ def test_cli_sweep_rejects_bad_constants_cleanly(tmp_path, capsys, constants, na
         SweepConfig.from_json(cfg)
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"constants": 5}, "constants"),
+    ({"trials": "2"}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"master_seed": 1.0}, "master_seed"),
+    ({"n": [12.5]}, "grid n"),
+    ({"k": [1.5]}, "grid k"),
+    ({"d": [True]}, "grid d"),
+    ({"t": 2}, "grid t"),
+    ({"algorithms": "vc-decision"}, "grid algorithms"),
+    ({"algorithms": [["vc-decision"]]}, "unknown algorithm"),
+    ({"csv_path": 7}, "csv_path"),
+    ({"summary_path": 1}, "summary_path"),
+])
+def test_cli_sweep_rejects_mistyped_fields_cleanly(tmp_path, capsys, change, named):
+    cfg = {"algorithms": ["vc-decision"], "n": [12], "k": [1], **change}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["sweep", str(cfg_path)])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith("error:") and named in out.err
+    with pytest.raises(ValueError, match=named):
+        SweepConfig.from_json(cfg)
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     # the installed console script answers --help
     proc = subprocess.run(

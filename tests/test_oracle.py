@@ -302,3 +302,9 @@ def test_ask_all_ignores_edges_leaving_the_sets():
     assert s.ask_all(True, [[1], [2]]) == {(0, 1): (1, 2)}
     assert s.ask_all(False, [[0], [3]]) == {}
     assert s.stats() == QueryStats(bise=1, bis=1)
+
+
+@pytest.mark.parametrize("policy", ["random", "lex", "bogus", None, 1])
+def test_session_rejects_a_policy_that_is_not_the_enum(policy):
+    with pytest.raises(ValueError, match="EdgeSelectionPolicy"):
+        OracleSession(gen_gnp(12, 2, 0.8, seed=3), policy=policy, policy_seed=5)

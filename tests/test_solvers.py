@@ -337,6 +337,23 @@ def test_packing_is_the_lex_smallest_optimum():
         assert max_set_packing(h) == brute_max_packing(h)
 
 
+@given(
+    st.sampled_from((3, 4)), st.integers(4, 5), st.integers(4, 12),
+    st.sampled_from((0.05, 0.15, 0.3)), st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_representative_family_matches_the_frozenset_reference_at_verify_k(d, k, n, p, seed):
+    # verify runs k = 4-5; dense draws make the greedy delete most edges
+    h = gen_gnp(n, d, p, seed=seed)
+    assert representative_family(h, k) == frozenset_representative_family(h, k)
+
+
+def test_representative_family_counts_its_search_nodes():
+    h = gen_gnp(10, 2, 0.55, seed=7)
+    with pytest.raises(BudgetExceeded, match="branch node budget 1 exceeded"):
+        representative_family(h, 2, SolverLimits(max_branch_nodes=1))
+
+
 def test_representative_family_keeps_its_time_budget():
     # n = 24, k = 5: about 55,000 sets X
     h = gen_gnp(24, 3, 0.03, seed=1)
