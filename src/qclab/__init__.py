@@ -32,6 +32,7 @@ from .coloring import (
     classes,
     perfect_family,
     random_coloring,
+    random_colorings,
     verify_perfect,
 )
 from .harness import (
@@ -58,7 +59,7 @@ from .hypergraph import (
     union,
 )
 from .oracle import EdgeSelectionPolicy, OracleSession, QueryStats
-from .rng import derive_seed, rng_from
+from .rng import block_integers, derive_seed, rng_from
 from .sampler import (
     QuotientInstance,
     SampledSubgraph,

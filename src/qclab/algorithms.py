@@ -27,11 +27,13 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import HashColoring, class_labels, perfect_family, random_coloring
+from .coloring import HashColoring, class_labels, perfect_family, random_colorings
+# `random_coloring` and `rng_from` are no longer called here; perfbench's tracer looks them up
+from .coloring import random_coloring  # noqa: F401
 from .hypergraph import Edge, Hypergraph, crossing_edges, hits_every_edge, is_packing
 from .hypergraph import new_hypergraph
 from .oracle import OracleSession, QueryStats
-from .rng import rng_from
+from .rng import rng_from  # noqa: F401
 # `quotient_existence` and `sample_subhypergraph` are kept for perfbench's tracer
 from .sampler import quotient_existence, quotients, sample_subhypergraph  # noqa: F401
 from .sampler import sample_union, samples
@@ -178,7 +180,7 @@ def _check_packing(witness: tuple[Edge, ...], graph: Hypergraph) -> None:
 
 def _random_colorings(n: int, b: int, rounds: int, seed: int) -> list[HashColoring]:
     """Round r colors into [b] from the child stream (seed, "round", r)."""
-    return [random_coloring(n, b, rng_from(seed, "round", r)) for r in range(rounds)]
+    return random_colorings(n, b, seed, "round", rounds)
 
 
 def _rounds(session: OracleSession, colorings, solve: Callable, existence=False) -> Iterator:

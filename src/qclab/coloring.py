@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import block_integers
+
 
 @dataclass(frozen=True)
 class HashColoring:
@@ -71,6 +73,15 @@ def random_coloring(n: int, b: int, rng: np.random.Generator) -> HashColoring:
     return HashColoring(n=n, b=b, color=tuple(rng.integers(0, b, size=n).tolist()))
 
 
+def random_colorings(n: int, b: int, seed: int, tag: object, count: int) -> list[HashColoring]:
+    """Colorings 0..count-1, the r-th equal to
+    `random_coloring(n, b, rng_from(seed, tag, r))`, drawn as one block."""
+    if b < 1:
+        raise ValueError("need at least one color")
+    rows = block_integers(seed, tag, count, b, n).tolist()
+    return [HashColoring(n=n, b=b, color=tuple(row)) for row in rows]
+
+
 def classes(c: HashColoring) -> ColorClasses:
     by_color: dict[int, list[int]] = {}
     for v, col in enumerate(c.color):
@@ -113,11 +124,8 @@ def perfect_family(n: int, s: int, range_b: int) -> PerfectFamily:
     if range_b < 4 * s * s:
         raise ValueError(f"need range_b >= 4*s^2 = {4 * s * s}, got {range_b}")
     p = next_prime(max(n, range_b))
-    xs = np.arange(n, dtype=np.int64)
-    members = tuple(
-        HashColoring(n=n, b=range_b, color=tuple(((a * xs % p) % range_b).tolist()))
-        for a in range(1, p)
-    )
+    colors = np.arange(1, p)[:, None] * np.arange(n) % p % range_b  # row a-1 is member a
+    members = tuple(HashColoring(n=n, b=range_b, color=tuple(row)) for row in colors.tolist())
     return PerfectFamily(s=s, b=range_b, p=p, members=members)
 
 

@@ -4,7 +4,9 @@ Every random decision in the package flows from a 64-bit user seed plus a
 chain of purpose tags ("round", 3, ...). Tags are hashed with BLAKE2b, so
 streams are stable across platforms and Python versions, and two purposes
 never share a stream by accident. The bit generator is counter-based
-(Philox), which keeps derived streams independent.
+(Philox), which keeps derived streams independent. `block_integers` draws
+the streams (seed, tag, 0), (seed, tag, 1), ... as one block, with every
+Philox key derived in one numpy pass.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def _tag_words(tag: object) -> list[int]:
@@ -37,6 +40,105 @@ def seed_words(seed: int, *tags: object) -> list[int]:
 def rng_from(seed: int, *tags: object) -> np.random.Generator:
     """Generator for the stream identified by (seed, tags)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_words(seed, *tags))))
+
+
+def _hash_consts(h: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) of `count` successive hash steps: each step xors in
+    the running constant, advances it by `mult` and multiplies by the result."""
+    out = []
+    for _ in range(count):
+        out.append((h, h := h * mult & _MASK32))
+    return out
+
+
+def _columns(consts: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    xor, mult = np.array(consts, dtype=np.uint32).T
+    return xor[:, None], mult[:, None]
+
+
+# numpy's SeedSequence (O'Neill's seed_seq design) with its default pool of 4
+# uint32 words. The hash constants do not depend on the data. Filling and
+# cross-mixing the pool takes the first 16 of the first sequence, and each
+# later entropy word the next 4, one per pool word. A 64-bit seed, one tag
+# and the row index make at most 2 + 4 + 3 = 9 entropy words.
+_POOL = 4
+_HASHMIX = _hash_consts(0x43B0D7E5, 0x931E8875, 36)
+_CROSS = [(src, dst) for src in range(_POOL) for dst in range(_POOL) if src != dst]
+_LATER = [_columns(_HASHMIX[i : i + _POOL]) for i in range(16, len(_HASHMIX), _POOL)]
+_GENERATE = _columns(_hash_consts(0x8B51F9DD, 0x58F38DED, _POOL))
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hash step, on ints in [0, 2**32) or on uint32 arrays;
+    arrays wrap mod 2**32 silently, where numpy scalars would warn."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (x * _MIX_L & _MASK32) - (y * _MIX_R & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _uint32_words(words: list[int]) -> list[int]:
+    """numpy's `_coerce_to_uint32_array` on non-negative ints: 0 is [0],
+    others split into 32-bit words, low half first."""
+    out = []
+    for w in words:
+        out.append(w & _MASK32)
+        while w := w >> 32:
+            out.append(w & _MASK32)
+    return out
+
+
+def _philox_keys(seed: int, tag: object, count: int) -> list[list[int]]:
+    """The Philox key of `rng_from(seed, tag, r)` for every r < count, as
+    `SeedSequence(...).generate_state(2, np.uint64)` derives it.
+
+    The entropy is the shared words of (seed, tag), then r, then the int-tag
+    marker. The first 4 words fill and cross-mix the pool one pool word at a
+    time, as ints while they are shared. Each later word mixes into all 4
+    pool words at once, as a (4, 1) array while shared and a (4, count) one
+    from r on."""
+    rows = np.arange(count, dtype=np.uint32)
+    words = [*_uint32_words(seed_words(seed, tag)), rows, 0x746167]
+    consts = iter(_HASHMIX)
+    pool = [_hashmix(w, *next(consts)) for w in words[:_POOL]]
+    for src, dst in _CROSS:
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    # (4, 1), or (4, count) when r was among the first 4 words
+    pool = np.array(pool, dtype=np.uint32).reshape(_POOL, -1)
+    for w, (xor, mult) in zip(words[_POOL:], _LATER):
+        # _mix(pool, _hashmix(w, xor, mult)) without the masks arrays do not need
+        h = (w ^ xor) * mult
+        h ^= h >> 16
+        pool = pool * _MIX_L - h * _MIX_R
+        pool ^= pool >> 16
+    state = _hashmix(pool, *_GENERATE)
+    # generate_state(2, uint64) pairs the uint32 words little-endian
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist()
+
+
+def block_integers(seed: int, tag: object, count: int, b: int, n: int) -> np.ndarray:
+    """A (count, n) int64 array whose row r is
+    `rng_from(seed, tag, r).integers(0, b, size=n)`.
+
+    The Philox keys of all rows come from one numpy pass. The draws are
+    numpy's own: one Generator, whose Philox state is reset to each row's
+    key with a zero counter and empty buffers, as a fresh one would be.
+    """
+    if not 0 <= count <= _MASK32 + 1:
+        raise ValueError(f"need 0 <= count <= 2**32 rows, got {count}")
+    out = np.empty((count, n), dtype=np.int64)
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for r, key in enumerate(_philox_keys(seed, tag, count)):
+        state["state"]["key"] = key
+        bits.state = state
+        out[r] = gen.integers(0, b, size=n)
+    return out
 
 
 def derive_seed(seed: int, *tags: object) -> int:

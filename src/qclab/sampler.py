@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-# `classes` is no longer called here; perfbench's tracer looks it up by this name
-from .coloring import HashColoring, classes, random_coloring  # noqa: F401
+# `classes`, `random_coloring` and `rng_from` are no longer called here;
+# perfbench's tracer looks them up by these names
+from .coloring import HashColoring, classes, random_coloring, random_colorings  # noqa: F401
 from .hypergraph import Hypergraph
 from .oracle import OracleSession
-from .rng import rng_from
+from .rng import rng_from  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def sample_union(session: OracleSession, b: int, t: int, seed: int) -> SampledSu
     """
     if t < 1:
         raise ValueError("need at least one repetition")
-    provenance = tuple(random_coloring(session.n, b, rng_from(seed, "sample", i)) for i in range(t))
+    provenance = tuple(random_colorings(session.n, b, seed, "sample", t))
     before = session.stats().total
     picked: set[int] = set()
     for _, _, picks in session.ask_colorings(True, [c.color for c in provenance]):

@@ -141,21 +141,24 @@ def _max_packing(edges: tuple[Edge, ...], search: _Search) -> tuple[Edge, ...]:
     best: list[Edge] = []
 
     def rec(compat: list[int], cur: list[Edge]) -> None:
-        search.tick()
-        if not compat:
-            return
-        free = functools.reduce(operator.or_, map(mask_of, compat))
-        if len(cur) + min(len(compat), free.bit_count() // len(edges[0])) <= len(best):
-            return
-        j = compat[0]
-        rest = compat[1:]
-        cur.append(edges[j])
-        if len(cur) > len(best):
-            best[:] = cur
-        mj = masks[j]
-        rec([i for i in rest if not masks[i] & mj], cur)
-        cur.pop()
-        rec(rest, cur)
+        # the exclude branch is a tail call, taken in this frame, so the
+        # depth is the size of the packing
+        while True:
+            search.tick()
+            if not compat:
+                return
+            free = functools.reduce(operator.or_, map(mask_of, compat))
+            if len(cur) + min(len(compat), free.bit_count() // len(edges[0])) <= len(best):
+                return
+            j = compat[0]
+            rest = compat[1:]
+            cur.append(edges[j])
+            if len(cur) > len(best):
+                best[:] = cur
+            mj = masks[j]
+            rec([i for i in rest if not masks[i] & mj], cur)
+            cur.pop()
+            compat = rest
 
     if edges:
         rec(list(range(len(edges))), [])

@@ -370,3 +370,11 @@ def test_cover_and_node_count_match_the_greedy_bound_reference(h):
     # the size search stops at the first feasible size with no greedy upper bound
     search = _Search(SolverLimits())
     assert (_min_hs(list(h.edges), search), search.nodes) == greedy_bound_min_hs(list(h.edges))
+
+
+def test_packing_of_a_star_deeper_than_the_recursion_limit():
+    # the search loops over excluded edges instead of recursing on them, so
+    # its depth is the packing size, not the number of edges
+    star = new_hypergraph(1501, 2, [(0, v) for v in range(1, 1501)])
+    assert max_set_packing(star) == ((0, 1),)
+    assert max_matching(star) == ((0, 1),)
