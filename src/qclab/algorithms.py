@@ -8,7 +8,9 @@ injective family for the deterministic ones. Randomized variants boost a
 constant-probability core procedure: optimization algorithms repeat and keep
 the best outcome, decision algorithms repeat and take a majority vote. The
 number of repetitions is boost_c * ceil(log2 k), clamped so k <= 1 still
-runs one round.
+runs one round. Within one algorithm call, rounds whose small instances are
+equal share one exact solve; every round's queries are still asked and
+counted.
 
 Results report the witness (verified against the sampled evidence before
 returning), the exact per-kind query counts consumed, and the colorings used
@@ -25,13 +27,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import HashColoring, class_labels, perfect_family, random_colorings
+from .coloring import HashColoring, perfect_family, random_colorings
 # `random_coloring` and `rng_from` are no longer called here; perfbench's tracer looks them up
 from .coloring import random_coloring  # noqa: F401
 from .hypergraph import Edge, Hypergraph, crossing_edges, hits_every_edge, is_packing
-from .hypergraph import new_hypergraph
 from .oracle import OracleSession, QueryStats
 from .rng import rng_from  # noqa: F401
 # `quotient_existence` and `sample_subhypergraph` are kept for perfbench's tracer
@@ -216,9 +218,8 @@ def _vote(
     """Majority vote over class quotients on "the quotient has a cover of at
     most k vertices" (ties resolve to "no")."""
     before = session.stats()
-    votes = sum(
-        _rounds(session, colorings, lambda q, c: len(cover(q.graph, limits)) <= k, existence=True)
-    )
+    cover_size = cache(lambda graph: len(cover(graph, limits)))
+    votes = sum(_rounds(session, colorings, lambda q, c: cover_size(q.graph) <= k, existence=True))
     return _result(session, before, constants, colorings, 2 * votes > len(colorings))
 
 
@@ -268,12 +269,13 @@ def _two_phase(
 
 
 def _packing_round(limits: SolverLimits):
-    def solve(sample, c: HashColoring) -> tuple[int, tuple[Edge, ...]]:
-        pack = max_set_packing(sample.graph, limits)
-        _check_packing(pack, sample.graph)
+    @cache
+    def solve(graph: Hypergraph) -> tuple[int, tuple[Edge, ...]]:
+        pack = max_set_packing(graph, limits)
+        _check_packing(pack, graph)
         return len(pack), pack
 
-    return solve
+    return lambda sample, c: solve(sample.graph)
 
 
 def packing(
@@ -469,14 +471,20 @@ def cut(
 
 
 def _cut_round(t: int, limits: SolverLimits):
+    # max_t_cut visits the non-isolated vertices in increasing order and puts
+    # the isolated ones in part 0, so the cut of the classes that sampled edges
+    # touch, ranked by color, is the cut of all classes
+    class_cut = cache(lambda q, edges: max_t_cut(Hypergraph(q, 2, edges), t, limits))
+
     def solve(sample, c: HashColoring) -> tuple[int, tuple[int, ...]]:
         """Exact max t-cut of the sampled edges over whole-class assignments."""
-        # contract each color class to one node, in ascending color order;
-        # sampled edges join distinct classes
-        label = class_labels([c.color])[0].tolist()
-        edges = [(label[u], label[v]) for u, v in sample.graph.edges]
-        class_parts, size = max_t_cut(new_hypergraph(max(label) + 1, 2, edges), t, limits)
-        lifted = tuple(class_parts[i] for i in label)
+        # contract each touched color class to one node, in ascending color
+        # order; sampled edges join distinct classes
+        color, sampled = c.color, sample.graph.edges
+        rank = {col: i for i, col in enumerate(sorted({color[v] for e in sampled for v in e}))}
+        edges = tuple(sorted(tuple(sorted((rank[color[u]], rank[color[v]]))) for u, v in sampled))
+        class_parts, size = class_cut(max(len(rank), 1), edges)
+        lifted = tuple(class_parts[rank[col]] if col in rank else 0 for col in color)
         # verify against the sampled evidence
         if crossing_edges(lifted, sample.graph) != size:
             raise AssertionError("lifted partition does not reproduce the class cut; bug")
@@ -503,8 +511,9 @@ def cut_decision(
     _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
-    return _best(session, k, colorings, lambda q, c: (max_t_cut(q.graph, t, limits)[1], None),
-                 constants, existence=True)
+    cut_size = cache(lambda graph: max_t_cut(graph, t, limits)[1])
+    return _best(session, k, colorings, lambda q, c: (cut_size(q.graph), None), constants,
+                 existence=True)
 
 
 def cut_deterministic(

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .rng import rng_from
 
 Edge = tuple[int, ...]
@@ -153,6 +155,34 @@ class PlantedTruth:
         return PlantedTruth(kind=obj["kind"], k=int(obj["k"]), witness=witness)
 
 
+def _choice_rows(
+    rng: np.random.Generator, pop: int, size: int, rows: int, lead: Sequence[int] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` rounds of `[rng.integers(h) for h in lead]` followed by
+    `rng.choice(pop, size, replace=False)`, from one numpy call on the same
+    stream: the lead draws (rows, len(lead)) and the chosen sets (rows, size),
+    each set in the order of Floyd's algorithm rather than choice's shuffle.
+
+    numpy's choice takes Floyd's algorithm unless pop > 10_000 and
+    size > pop // 50: for j = pop - size .. pop - 1 it draws integers(j + 1)
+    and keeps the value, or j when the value is taken already, then shuffles
+    with integers(i + 1) for i = size - 1 .. 1. `integers` of an array of
+    bounds draws them one after another, as successive calls do.
+    """
+    if pop > 10_000 and size > pop // 50:
+        raise ValueError(
+            f"cannot draw {size} distinct vertices of {pop} per edge: above 10000, "
+            f"at most {pop // 50}"
+        )
+    highs = [*lead, *range(pop - size + 1, pop + 1), *range(size, 1, -1)]
+    draws = rng.integers(np.tile(np.array(highs, dtype=np.int64), rows)).reshape(rows, -1)
+    picks = draws[:, len(lead) : len(lead) + size].copy()
+    for i in range(1, size):
+        taken = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+        picks[taken, i] = pop - size + i
+    return draws[:, : len(lead)], picks
+
+
 def gen_gnp(n: int, d: int, p: float, seed: int) -> Hypergraph:
     """Include each of the C(n, d) potential edges independently with probability p."""
     if not 0.0 <= p <= 1.0:
@@ -188,12 +218,14 @@ def gen_planted_hitting_set(
     rng = rng_from(seed, "planted-hs", n, d, k, m)
     witness = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
     edges: set[Edge] = set()
+    # each round draws a witness vertex s, then d-1 companions from
+    # [0, n) \ {s} by skipping s; a round adds at most one edge, so the
+    # rounds still missing are all drawn
     while len(edges) < m:
-        s = int(witness[rng.integers(k)])
-        # draw d-1 companions from [0, n) \ {s} by skipping s
-        rest = rng.choice(n - 1, size=d - 1, replace=False)
-        e = tuple(sorted([s] + [int(v) if v < s else int(v) + 1 for v in rest]))
-        edges.add(e)
+        lead, rest = _choice_rows(rng, n - 1, d - 1, m - len(edges), lead=(k,))
+        s = np.array(witness)[lead]
+        rest += rest >= s
+        edges.update(map(tuple, np.sort(np.hstack([s, rest]), axis=1).tolist()))
     return (
         Hypergraph(n=n, d=d, edges=tuple(sorted(edges))),
         PlantedTruth(kind="hitting-set", k=k, witness=witness),
@@ -223,8 +255,8 @@ def gen_planted_packing(
     )
     edges: set[Edge] = set(planted)
     while len(edges) < k + extra:
-        e = tuple(sorted(int(v) for v in rng.choice(n, size=d, replace=False)))
-        edges.add(e)
+        _, picks = _choice_rows(rng, n, d, k + extra - len(edges))
+        edges.update(map(tuple, np.sort(picks, axis=1).tolist()))
     return (
         Hypergraph(n=n, d=d, edges=tuple(sorted(edges))),
         PlantedTruth(kind="packing", k=k, witness=planted),
@@ -241,18 +273,19 @@ def gen_planted_cut(n: int, t: int, k: int, seed: int) -> tuple[Hypergraph, Plan
         raise ValueError("need n >= t so every part can be non-empty")
     rng = rng_from(seed, "planted-cut", n, t, k)
     order = rng.permutation(n)
-    parts = [0] * n
-    for i, v in enumerate(order):
-        parts[int(v)] = i % t if i < t else int(rng.integers(t))
+    # the i-th vertex of `order` goes to part i, the rest to random parts
+    part = np.empty(n, dtype=np.int64)
+    part[order] = np.concatenate([np.arange(t), rng.integers(t, size=n - t)])
+    parts = part.tolist()
     sizes = [parts.count(i) for i in range(t)]
     capacity = math.comb(n, 2) - sum(math.comb(s, 2) for s in sizes)
     if k > capacity:
         raise ValueError(f"partition admits at most {capacity} crossing edges, need {k}")
     edges: set[Edge] = set()
     while len(edges) < k:
-        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-        if parts[u] != parts[v]:
-            edges.add((u, v) if u < v else (v, u))
+        _, uv = _choice_rows(rng, n, 2, k - len(edges))
+        uv = uv[part[uv[:, 0]] != part[uv[:, 1]]]
+        edges.update(map(tuple, np.sort(uv, axis=1).tolist()))
     return (
         Hypergraph(n=n, d=2, edges=tuple(sorted(edges))),
         PlantedTruth(kind="cut", k=k, witness=tuple(parts)),

@@ -6,13 +6,16 @@ edges into a sub-hypergraph on the original vertex set. Only non-empty
 classes are queried, so a sample costs exactly C(q, d) queries where q is
 the number of non-empty classes -- never more than min(b, n). Samples,
 unions and quotients are read off the rows of `OracleSession.ask_colorings`;
-queries count as bise/bis on graphs (d=2) and gpise/gpis above.
+queries count as bise/bis on graphs (d=2) and gpise/gpis above. Within one
+call of `samples` or `quotients`, rounds with equal answers share one
+validated `Hypergraph`; each round keeps its own record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 # `classes`, `random_coloring` and `rng_from` are no longer called here;
@@ -50,10 +53,11 @@ def samples(
 ) -> Iterator[SampledSubgraph]:
     """One sample per coloring, in order: C(q, d) witness queries over the
     coloring's class tuples."""
+    # each edge answers at most one class tuple, so the witnesses are distinct
+    graph_of = cache(lambda picks: Hypergraph(session.n, session.d, session.witnesses(picks)))
     rows = session.ask_colorings(True, [c.color for c in colorings])
     for c, (labels, _, picks) in zip(colorings, rows):
-        # each edge answers at most one class tuple, so the witnesses are distinct
-        graph = Hypergraph(session.n, session.d, session.witnesses(sorted(picks.tolist())))
+        graph = graph_of(tuple(sorted(picks.tolist())))
         yield SampledSubgraph(graph, (c,), math.comb(int(labels.max()) + 1, session.d))
 
 
@@ -62,9 +66,9 @@ def quotients(
 ) -> Iterator[QuotientInstance]:
     """One existence-query quotient per coloring, in order: C(q, d) yes/no
     queries over the coloring's class tuples."""
+    graph_of = cache(lambda q, edges: Hypergraph(n=q, d=session.d, edges=edges))
     for labels, tuples, _ in session.ask_colorings(False, [c.color for c in colorings]):
-        edges = tuple(map(tuple, tuples.tolist()))
-        graph = Hypergraph(n=int(labels.max()) + 1, d=session.d, edges=edges)
+        graph = graph_of(int(labels.max()) + 1, tuple(map(tuple, tuples.tolist())))
         yield QuotientInstance(graph=graph, class_map=tuple(labels.tolist()))
 
 

@@ -205,26 +205,29 @@ def max_t_cut(
         suffix[i] = suffix[i + 1] + len(back[i])
 
     search = _Search(limits)
-    assign = [-1] * na
+    assign = [0] * na
     best_cut = -1
     best_assign: list[int] | None = None
-
-    def rec(i: int, used: int, cut: int) -> None:
-        nonlocal best_cut, best_assign
-        search.tick()
+    # depth-first with an explicit stack, parts in increasing order: an entry
+    # (i, used, cut, part) is the node at position i below the assignment
+    # `part` of position i - 1, with `used` parts and `cut` crossing edges
+    stack = [(0, 0, 0, 0)]
+    pop, push, tick = stack.pop, stack.append, search.tick
+    while stack:
+        i, used, cut, part = pop()
+        if i:
+            assign[i - 1] = part
+        tick()
         if cut + suffix[i] <= best_cut:
-            return
+            continue
         if i == na:
             best_cut = cut
             best_assign = assign.copy()
-            return
-        for part in range(min(used + 1, t)):
-            assign[i] = part
-            gained = sum(1 for j in back[i] if assign[j] != part)
-            rec(i + 1, used + (part == used), cut + gained)
-        assign[i] = -1
-
-    rec(0, 0, 0)
+            continue
+        # positions below i keep their parts until every child here is visited
+        near = [assign[j] for j in back[i]]
+        for part in range(min(used + 1, t) - 1, -1, -1):
+            push((i + 1, used + (part == used), cut + len(near) - near.count(part), part))
     assert best_assign is not None
     parts = [0] * g.n
     for v, i in pos.items():

@@ -1,6 +1,7 @@
 """Independent brute-force references used as test oracles.
 
-Everything here enumerates; nothing shares code with the solvers under test.
+Everything here enumerates or keeps an earlier, simpler form of the code
+under test; nothing shares code with the solvers under test.
 """
 
 from __future__ import annotations
@@ -9,7 +10,8 @@ import itertools
 import math
 
 from qclab.coloring import classes
-from qclab.hypergraph import Hypergraph
+from qclab.hypergraph import Hypergraph, PlantedTruth
+from qclab.rng import rng_from
 from qclab.sampler import QuotientInstance, SampledSubgraph
 
 
@@ -288,3 +290,104 @@ def one_coloring_rounds(session, colorings, solve, existence=False):
             graph = Hypergraph(n=session.n, d=session.d, edges=tuple(sorted(answers.values())))
             probe = SampledSubgraph(graph, (c,), math.comb(len(sets), session.d))
         yield solve(probe, c)
+
+
+# -- generators drawing one numpy choice per edge ----------------------------
+
+
+def per_edge_planted_hitting_set(n, d, k, m, seed):
+    """`gen_planted_hitting_set` with one `rng.choice` call per drawn edge."""
+    rng = rng_from(seed, "planted-hs", n, d, k, m)
+    witness = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    edges = set()
+    while len(edges) < m:
+        s = int(witness[rng.integers(k)])
+        rest = rng.choice(n - 1, size=d - 1, replace=False)
+        edges.add(tuple(sorted([s] + [int(v) if v < s else int(v) + 1 for v in rest])))
+    return (
+        Hypergraph(n=n, d=d, edges=tuple(sorted(edges))),
+        PlantedTruth(kind="hitting-set", k=k, witness=witness),
+    )
+
+
+def per_edge_planted_packing(n, d, k, extra, seed):
+    """`gen_planted_packing` with one `rng.choice` call per extra edge."""
+    rng = rng_from(seed, "planted-packing", n, d, k, extra)
+    perm = rng.permutation(n)
+    planted = tuple(
+        sorted(tuple(sorted(int(v) for v in perm[i * d : (i + 1) * d])) for i in range(k))
+    )
+    edges = set(planted)
+    while len(edges) < k + extra:
+        edges.add(tuple(sorted(int(v) for v in rng.choice(n, size=d, replace=False))))
+    return (
+        Hypergraph(n=n, d=d, edges=tuple(sorted(edges))),
+        PlantedTruth(kind="packing", k=k, witness=planted),
+    )
+
+
+def per_edge_planted_cut(n, t, k, seed):
+    """`gen_planted_cut` with one `rng.integers` call per randomly placed
+    vertex and one `rng.choice` call per drawn vertex pair."""
+    rng = rng_from(seed, "planted-cut", n, t, k)
+    order = rng.permutation(n)
+    parts = [0] * n
+    for i, v in enumerate(order):
+        parts[int(v)] = i % t if i < t else int(rng.integers(t))
+    capacity = math.comb(n, 2) - sum(math.comb(parts.count(i), 2) for i in range(t))
+    if k > capacity:
+        raise ValueError(f"partition admits at most {capacity} crossing edges, need {k}")
+    edges = set()
+    while len(edges) < k:
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if parts[u] != parts[v]:
+            edges.add((u, v) if u < v else (v, u))
+    return (
+        Hypergraph(n=n, d=2, edges=tuple(sorted(edges))),
+        PlantedTruth(kind="cut", k=k, witness=tuple(parts)),
+    )
+
+
+# -- the recursive max t-cut search -------------------------------------------
+
+
+def recursive_max_t_cut(g: Hypergraph, t: int):
+    """(parts, size, search nodes) of the max t-cut search written as one
+    recursive call per position: the non-isolated vertices in increasing
+    order, parts tried in increasing order up to one new part, pruned when
+    the cut so far plus the edges still to place cannot beat the best."""
+    if not g.edges:
+        return tuple([0] * g.n), 0, 0
+    active = sorted({v for e in g.edges for v in e})
+    pos = {v: i for i, v in enumerate(active)}
+    na = len(active)
+    back = [[] for _ in range(na)]
+    for u, v in g.edges:
+        i, j = pos[u], pos[v]
+        back[max(i, j)].append(min(i, j))
+    suffix = [0] * (na + 1)
+    for i in range(na - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + len(back[i])
+    assign = [-1] * na
+    best = [-1, None]
+    nodes = 0
+
+    def rec(i, used, cut):
+        nonlocal nodes
+        nodes += 1
+        if cut + suffix[i] <= best[0]:
+            return
+        if i == na:
+            best[:] = [cut, assign.copy()]
+            return
+        for part in range(min(used + 1, t)):
+            assign[i] = part
+            gained = sum(1 for j in back[i] if assign[j] != part)
+            rec(i + 1, used + (part == used), cut + gained)
+        assign[i] = -1
+
+    rec(0, 0, 0)
+    parts = [0] * g.n
+    for v, i in pos.items():
+        parts[v] = best[1][i]
+    return tuple(parts), best[0], nodes

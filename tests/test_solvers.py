@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import qclab.solvers
 
 from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph
 from qclab.solvers import (
@@ -30,6 +34,7 @@ from reference import (
     frozenset_max_packing,
     frozenset_representative_family,
     greedy_bound_min_hs,
+    recursive_max_t_cut,
 )
 
 
@@ -378,3 +383,48 @@ def test_packing_of_a_star_deeper_than_the_recursion_limit():
     star = new_hypergraph(1501, 2, [(0, v) for v in range(1, 1501)])
     assert max_set_packing(star) == ((0, 1),)
     assert max_matching(star) == ((0, 1),)
+
+
+def _t_cut_outcome(g, t, max_nodes):
+    searches = []
+
+    class Counted(_Search):
+        def __init__(self, limits):
+            super().__init__(limits)
+            searches.append(self)
+
+    with mock.patch.object(qclab.solvers, "_Search", Counted):
+        try:
+            parts, size = max_t_cut(g, t, SolverLimits(max_branch_nodes=max_nodes))
+        except BudgetExceeded:
+            return "budget", searches[0].nodes
+    return parts, size, searches[0].nodes if searches else 0
+
+
+@st.composite
+def small_graphs(draw, max_n=10, max_m=18):
+    """Graphs on 2-10 vertices, possibly no edges, possibly isolated vertices."""
+    n = draw(st.integers(2, max_n))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return new_hypergraph(n, 2, draw(st.lists(edge, max_size=max_m)))
+
+
+@given(small_graphs(), st.integers(2, 4), st.integers(0, 60))
+@example(new_hypergraph(5, 2, []), 2, 0)
+@example(new_hypergraph(7, 2, [(0, 1), (1, 2), (2, 0), (4, 6)]), 3, 5)
+@settings(max_examples=150, deadline=None)
+def test_t_cut_and_node_count_match_the_recursive_reference(g, t, max_nodes):
+    parts, size, nodes = recursive_max_t_cut(g, t)
+    assert _t_cut_outcome(g, t, 5_000_000) == (parts, size, nodes)
+    # a small node budget trips at the same node
+    expected = (parts, size, nodes) if nodes <= max_nodes else ("budget", max_nodes + 1)
+    assert _t_cut_outcome(g, t, max_nodes) == expected
+
+
+def test_t_cut_of_a_path_deeper_than_the_recursion_limit():
+    # the search keeps its own stack, so a path longer than Python's
+    # recursion limit is searched like a short one
+    path = new_hypergraph(1500, 2, [(v, v + 1) for v in range(1499)])
+    parts, size = max_t_cut(path, 2)
+    assert size == 1499
+    assert parts == tuple(v % 2 for v in range(1500))
