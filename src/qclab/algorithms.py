@@ -8,9 +8,9 @@ injective family for the deterministic ones. Randomized variants boost a
 constant-probability core procedure: optimization algorithms repeat and keep
 the best outcome, decision algorithms repeat and take a majority vote. The
 number of repetitions is boost_c * ceil(log2 k), clamped so k <= 1 still
-runs one round. Within one algorithm call, rounds whose small instances are
-equal share one exact solve; every round's queries are still asked and
-counted.
+runs one round. Within one algorithm call, sampling rounds whose small
+instances are equal share one exact solve; every round's queries are still
+asked and counted.
 
 Results report the witness (verified against the sampled evidence before
 returning), the exact per-kind query counts consumed, and the colorings used
@@ -218,8 +218,9 @@ def _vote(
     """Majority vote over class quotients on "the quotient has a cover of at
     most k vertices" (ties resolve to "no")."""
     before = session.stats()
-    cover_size = cache(lambda graph: len(cover(graph, limits)))
-    votes = sum(_rounds(session, colorings, lambda q, c: cover_size(q.graph) <= k, existence=True))
+    votes = sum(
+        _rounds(session, colorings, lambda q, c: len(cover(q.graph, limits)) <= k, existence=True)
+    )
     return _result(session, before, constants, colorings, 2 * votes > len(colorings))
 
 
@@ -511,9 +512,8 @@ def cut_decision(
     _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
-    cut_size = cache(lambda graph: max_t_cut(graph, t, limits)[1])
-    return _best(session, k, colorings, lambda q, c: (cut_size(q.graph), None), constants,
-                 existence=True)
+    return _best(session, k, colorings, lambda q, c: (max_t_cut(q.graph, t, limits)[1], None),
+                 constants, existence=True)
 
 
 def cut_deterministic(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import rng_from
+from .rng import choice_rows, rng_from
 
 Edge = tuple[int, ...]
 
@@ -155,34 +155,6 @@ class PlantedTruth:
         return PlantedTruth(kind=obj["kind"], k=int(obj["k"]), witness=witness)
 
 
-def _choice_rows(
-    rng: np.random.Generator, pop: int, size: int, rows: int, lead: Sequence[int] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """`rows` rounds of `[rng.integers(h) for h in lead]` followed by
-    `rng.choice(pop, size, replace=False)`, from one numpy call on the same
-    stream: the lead draws (rows, len(lead)) and the chosen sets (rows, size),
-    each set in the order of Floyd's algorithm rather than choice's shuffle.
-
-    numpy's choice takes Floyd's algorithm unless pop > 10_000 and
-    size > pop // 50: for j = pop - size .. pop - 1 it draws integers(j + 1)
-    and keeps the value, or j when the value is taken already, then shuffles
-    with integers(i + 1) for i = size - 1 .. 1. `integers` of an array of
-    bounds draws them one after another, as successive calls do.
-    """
-    if pop > 10_000 and size > pop // 50:
-        raise ValueError(
-            f"cannot draw {size} distinct vertices of {pop} per edge: above 10000, "
-            f"at most {pop // 50}"
-        )
-    highs = [*lead, *range(pop - size + 1, pop + 1), *range(size, 1, -1)]
-    draws = rng.integers(np.tile(np.array(highs, dtype=np.int64), rows)).reshape(rows, -1)
-    picks = draws[:, len(lead) : len(lead) + size].copy()
-    for i in range(1, size):
-        taken = (picks[:, :i] == picks[:, i, None]).any(axis=1)
-        picks[taken, i] = pop - size + i
-    return draws[:, : len(lead)], picks
-
-
 def gen_gnp(n: int, d: int, p: float, seed: int) -> Hypergraph:
     """Include each of the C(n, d) potential edges independently with probability p."""
     if not 0.0 <= p <= 1.0:
@@ -222,7 +194,7 @@ def gen_planted_hitting_set(
     # [0, n) \ {s} by skipping s; a round adds at most one edge, so the
     # rounds still missing are all drawn
     while len(edges) < m:
-        lead, rest = _choice_rows(rng, n - 1, d - 1, m - len(edges), lead=(k,))
+        lead, rest = choice_rows(rng, n - 1, d - 1, m - len(edges), lead=(k,))
         s = np.array(witness)[lead]
         rest += rest >= s
         edges.update(map(tuple, np.sort(np.hstack([s, rest]), axis=1).tolist()))
@@ -255,7 +227,7 @@ def gen_planted_packing(
     )
     edges: set[Edge] = set(planted)
     while len(edges) < k + extra:
-        _, picks = _choice_rows(rng, n, d, k + extra - len(edges))
+        _, picks = choice_rows(rng, n, d, k + extra - len(edges))
         edges.update(map(tuple, np.sort(picks, axis=1).tolist()))
     return (
         Hypergraph(n=n, d=d, edges=tuple(sorted(edges))),
@@ -283,7 +255,7 @@ def gen_planted_cut(n: int, t: int, k: int, seed: int) -> tuple[Hypergraph, Plan
         raise ValueError(f"partition admits at most {capacity} crossing edges, need {k}")
     edges: set[Edge] = set()
     while len(edges) < k:
-        _, uv = _choice_rows(rng, n, 2, k - len(edges))
+        _, uv = choice_rows(rng, n, 2, k - len(edges))
         uv = uv[part[uv[:, 0]] != part[uv[:, 1]]]
         edges.update(map(tuple, np.sort(uv, axis=1).tolist()))
     return (

@@ -6,12 +6,15 @@ streams are stable across platforms and Python versions, and two purposes
 never share a stream by accident. The bit generator is counter-based
 (Philox), which keeps derived streams independent. `block_integers` draws
 the streams (seed, tag, 0), (seed, tag, 1), ... as one block, with every
-Philox key derived in one numpy pass.
+Philox key derived in one numpy pass, and `choice_rows` draws many rounds of
+`choice(replace=False)` on one stream from one numpy call. Both mirror numpy
+internals, which the numpy==2.4.6 pin covers.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
@@ -139,6 +142,34 @@ def block_integers(seed: int, tag: object, count: int, b: int, n: int) -> np.nda
         bits.state = state
         out[r] = gen.integers(0, b, size=n)
     return out
+
+
+def choice_rows(
+    rng: np.random.Generator, pop: int, size: int, rows: int, lead: Sequence[int] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` rounds of `[rng.integers(h) for h in lead]` followed by
+    `rng.choice(pop, size, replace=False)`, from one numpy call on the same
+    stream: the lead draws (rows, len(lead)) and the chosen sets (rows, size),
+    each set in the order of Floyd's algorithm rather than choice's shuffle.
+
+    numpy's choice takes Floyd's algorithm unless pop > 10_000 and
+    size > pop // 50: for j = pop - size .. pop - 1 it draws integers(j + 1)
+    and keeps the value, or j when the value is taken already, then shuffles
+    with integers(i + 1) for i = size - 1 .. 1. `integers` of an array of
+    bounds draws them one after another, as successive calls do.
+    """
+    if pop > 10_000 and size > pop // 50:
+        raise ValueError(
+            f"cannot draw {size} distinct vertices of {pop} per edge: above 10000, "
+            f"at most {pop // 50}"
+        )
+    highs = [*lead, *range(pop - size + 1, pop + 1), *range(size, 1, -1)]
+    draws = rng.integers(np.tile(np.array(highs, dtype=np.int64), rows)).reshape(rows, -1)
+    picks = draws[:, len(lead) : len(lead) + size].copy()
+    for i in range(1, size):
+        taken = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+        picks[taken, i] = pop - size + i
+    return draws[:, : len(lead)], picks
 
 
 def derive_seed(seed: int, *tags: object) -> int:

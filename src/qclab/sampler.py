@@ -7,8 +7,8 @@ classes are queried, so a sample costs exactly C(q, d) queries where q is
 the number of non-empty classes -- never more than min(b, n). Samples,
 unions and quotients are read off the rows of `OracleSession.ask_colorings`;
 queries count as bise/bis on graphs (d=2) and gpise/gpis above. Within one
-call of `samples` or `quotients`, rounds with equal answers share one
-validated `Hypergraph`; each round keeps its own record.
+call of `samples`, rounds with equal answers share one validated
+`Hypergraph`; each round keeps its own record.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def quotients(
 ) -> Iterator[QuotientInstance]:
     """One existence-query quotient per coloring, in order: C(q, d) yes/no
     queries over the coloring's class tuples."""
-    graph_of = cache(lambda q, edges: Hypergraph(n=q, d=session.d, edges=edges))
     for labels, tuples, _ in session.ask_colorings(False, [c.color for c in colorings]):
-        graph = graph_of(int(labels.max()) + 1, tuple(map(tuple, tuples.tolist())))
+        edges = tuple(map(tuple, tuples.tolist()))
+        graph = Hypergraph(n=int(labels.max()) + 1, d=session.d, edges=edges)
         yield QuotientInstance(graph=graph, class_map=tuple(labels.tolist()))
 
 

@@ -13,12 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclab.hypergraph import (
-    _choice_rows,
-    gen_planted_cut,
-    gen_planted_hitting_set,
-    gen_planted_packing,
-)
+from qclab.hypergraph import gen_planted_cut, gen_planted_hitting_set, gen_planted_packing
+from qclab.rng import choice_rows
 
 from reference import per_edge_planted_cut, per_edge_planted_hitting_set, per_edge_planted_packing
 
@@ -106,7 +102,7 @@ def test_choice_rows_equal_successive_choice_calls(pop, size, lead):
         rows = 1 + seed
         batched = np.random.Generator(np.random.Philox(seed))
         sequential = np.random.Generator(np.random.Philox(seed))
-        lead_draws, picks = _choice_rows(batched, pop, size, rows, lead)
+        lead_draws, picks = choice_rows(batched, pop, size, rows, lead)
         expected = _sequential_rows(sequential, pop, size, rows, lead)
         assert lead_draws.tolist() == [drawn for drawn, _ in expected], NUMPY
         assert [sorted(p) for p in picks.tolist()] == [
@@ -121,7 +117,7 @@ def test_choice_rows_equal_successive_choice_calls(pop, size, lead):
 def test_choice_rows_refuses_the_tail_shuffle_shapes():
     rng = np.random.Generator(np.random.Philox(0))
     with pytest.raises(ValueError, match="distinct vertices"):
-        _choice_rows(rng, 10_001, 201, 1)
+        choice_rows(rng, 10_001, 201, 1)
     with pytest.raises(ValueError, match="distinct vertices"):
         gen_planted_hitting_set(10_003, 202, 1, 1, seed=0)
     with pytest.raises(ValueError, match="distinct vertices"):

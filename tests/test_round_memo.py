@@ -1,6 +1,6 @@
-"""Rounds whose small instances are equal share one solve within an algorithm
-call. The shared solves change no answer, witness, coloring, query count or
-query log line, and every distinct instance is solved once."""
+"""Sampling rounds whose small instances are equal share one solve within an
+algorithm call. The shared solves change no answer, witness, coloring, query
+count or query log line, and every distinct sample is solved once."""
 
 import contextlib
 import itertools
@@ -18,7 +18,7 @@ from qclab.hypergraph import gen_planted_cut, gen_planted_hitting_set, gen_plant
 from qclab.hypergraph import new_hypergraph
 from qclab.oracle import EdgeSelectionPolicy, OracleSession
 from qclab.sampler import sample_subhypergraph
-from qclab.solvers import max_set_packing, max_t_cut, min_vertex_cover
+from qclab.solvers import max_set_packing, max_t_cut
 
 ALGORITHMS = (
     "packing", "cut", "vc_decision", "cut_decision", "packing_deterministic", "cut_deterministic",
@@ -91,24 +91,21 @@ def test_packing_deterministic_solves_each_distinct_sample_once():
     assert {call.args[0] for call in solve.call_args_list} == distinct
 
 
-def test_no_graph_is_solved_twice_in_one_call():
+def test_no_sample_is_solved_twice_in_one_call():
     packing_instance, _ = gen_planted_packing(30, 2, 2, 8, seed=1)
     cut_instance, _ = gen_planted_cut(14, 2, 2, seed=2)
     cover_instance, _ = gen_planted_hitting_set(36, 2, 2, 50, seed=4)
-    # (solver, instance, algorithm, arguments, whether most rounds repeat a
-    # solved instance): injective colorings sample the whole instance, while
-    # their quotients are the instance relabelled by color rank
+    # (solver, instance, algorithm, arguments): injective colorings sample the
+    # whole instance, so most rounds repeat a solved sample
     cases = (
-        (max_set_packing, packing_instance, "packing", (2,), True),
-        (max_set_packing, cover_instance, "vertex_cover", (2,), True),
-        (max_t_cut, cut_instance, "cut_deterministic", (2, 2), True),
-        (max_t_cut, cut_instance, "cut_decision", (2, 3), False),
-        (min_vertex_cover, cover_instance, "vc_decision", (2,), False),
+        (max_set_packing, packing_instance, "packing", (2,)),
+        (max_set_packing, cover_instance, "vertex_cover", (2,)),
+        (max_t_cut, cut_instance, "cut_deterministic", (2, 2)),
     )
-    for solver, h, algo, args, repeats in cases:
+    for solver, h, algo, args in cases:
         with OracleSession(h) as session:
             with mock.patch.object(qclab.algorithms, solver.__name__, wraps=solver) as spy:
                 result = getattr(qclab.algorithms, algo)(session, *args)
         graphs = [call.args[0] for call in spy.call_args_list]
         assert 0 < len(graphs) == len(set(graphs)), algo
-        assert (2 * len(graphs) <= result.rounds_used) == repeats, algo
+        assert 2 * len(graphs) <= result.rounds_used, algo
