@@ -25,7 +25,6 @@ round succeed with constant probability; override any field to experiment.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import Any, Callable, Iterator, Optional
@@ -33,7 +32,14 @@ from typing import Any, Callable, Iterator, Optional
 from .coloring import HashColoring, perfect_family, random_colorings
 # `random_coloring` and `rng_from` are no longer called here; perfbench's tracer looks them up
 from .coloring import random_coloring  # noqa: F401
-from .hypergraph import Edge, Hypergraph, crossing_edges, hits_every_edge, is_packing
+from .hypergraph import (
+    Edge,
+    Hypergraph,
+    crossing_edges,
+    hits_every_edge,
+    is_packing,
+    require_integer,
+)
 from .oracle import OracleSession, QueryStats
 from .rng import rng_from  # noqa: F401
 # `quotient_existence` and `sample_subhypergraph` are kept for perfbench's tracer
@@ -48,11 +54,6 @@ from .solvers import (
     min_hitting_set,
     min_vertex_cover,
 )
-
-
-def is_integer(value: object) -> bool:
-    """An integral number that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def log_k(k: int) -> int:
@@ -86,8 +87,7 @@ class AlgorithmConstants:
             value = getattr(self, f.name)  # None: the arity default, where the default is None
             if value is None and f.default is None:
                 continue
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{f.name} must be an integer of at least 1, got {value!r}")
+            require_integer(f.name, value, 1)
 
     def pack_gamma_for(self, d: int) -> int:
         return self.pack_gamma if self.pack_gamma is not None else 100 * d * d
@@ -142,10 +142,9 @@ def _check_args(
 ) -> None:
     """Reject invalid arguments before any query runs; `graph` names the
     problem when it needs d=2."""
-    if t is not None and (not is_integer(t) or t < 2):
-        raise ValueError(f"t must be an integer of at least 2, got {t!r}")
-    if not is_integer(k) or k < k_min:
-        raise ValueError(f"k must be an integer of at least {k_min}, got {k!r}")
+    if t is not None:
+        require_integer("t", t, 2)
+    require_integer("k", k, k_min)
     if graph and session.d != 2:
         raise ValueError(f"{graph} needs a graph (d=2)")
 

@@ -31,7 +31,9 @@ from .hypergraph import (
     gen_planted_hitting_set,
     gen_planted_packing,
     hits_every_edge,
+    is_integer,
     is_packing,
+    require_integer,
 )
 from .oracle import EdgeSelectionPolicy, OracleSession, QueryStats
 from .rng import derive_seed
@@ -323,7 +325,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "master_seed"):
-            if not alg.is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -331,7 +333,7 @@ class SweepConfig:
             grid = getattr(self, name)
             if not isinstance(grid, list) or not grid:
                 raise ValueError(f"grid {name} must be a non-empty list, got {grid!r}")
-            if name != "algorithms" and not all(map(alg.is_integer, grid)):
+            if name != "algorithms" and not all(map(is_integer, grid)):
                 raise ValueError(f"grid {name} must hold integers, got {grid!r}")
         for a in self.algorithms:
             if not isinstance(a, str) or a not in ALGORITHMS:
@@ -483,9 +485,15 @@ def verify_instance(
     k: int,
     t: int = 2,
     limits: SolverLimits = DEFAULT_LIMITS,
-    guard: int = 10**6,
 ) -> dict:
-    """Exact optima and structural checks for one instance, as JSON-able dict."""
+    """Exact optima and structural checks for one instance, as JSON-able dict.
+
+    k must be an integer >= 0 and t an integer; a t below 2, like a solver
+    budget, is reported as a skipped field.
+    """
+    require_integer("k", k, 0)
+    if not is_integer(t):
+        raise ValueError(f"t must be an integer, got {t!r}")
     out: dict[str, object] = {"n": hidden.n, "d": hidden.d, "m": hidden.m, "k": k}
 
     def attempt(name: str, fn: Callable[[], object]) -> None:
@@ -500,10 +508,7 @@ def verify_instance(
         out["min_vertex_cover"] = out["min_hitting_set"]
         out["max_matching"] = out["max_set_packing"]
         attempt("max_t_cut", lambda: max_t_cut(hidden, t, limits)[1])
-    attempt(
-        "representative_family_size",
-        lambda: len(representative_family(hidden, k, limits, guard=guard)),
-    )
+    attempt("representative_family_size", lambda: len(representative_family(hidden, k, limits)))
     out["representative_family_bound"] = math.comb(k + hidden.d, hidden.d)
     try:
         report = classify_cores(hidden, k, limits)

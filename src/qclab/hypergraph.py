@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,17 @@ import numpy as np
 from .rng import choice_rows, rng_from
 
 Edge = tuple[int, ...]
+
+
+def is_integer(value: object) -> bool:
+    """An integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integer(name: str, value: object, least: int) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer >= `least`."""
+    if not is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

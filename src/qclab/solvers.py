@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, is_integer, require_integer
 
 
 class BudgetExceeded(Exception):
@@ -31,6 +30,10 @@ class BudgetExceeded(Exception):
 class SolverLimits:
     max_branch_nodes: int = 5_000_000
     time_budget_ms: int = 120_000
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            require_integer(f.name, getattr(self, f.name), 0)
 
 
 DEFAULT_LIMITS = SolverLimits()
@@ -69,21 +72,24 @@ def _greedy_disjoint_count(edges: list[Edge]) -> int:
     return count
 
 
-def _hs_within(edges: list[Edge], budget: int, search: _Search) -> list[int] | None:
-    """Some hitting set of size <= budget, or None. Branches d ways on the first edge."""
-    if not edges:
-        return []
-    search.tick()
-    if budget <= 0:
-        return None
-    if _greedy_disjoint_count(edges) > budget:
-        return None
-    for v in edges[0]:
-        rest = [f for f in edges if v not in f]
-        sub = _hs_within(rest, budget - 1, search)
-        if sub is not None:
-            return [v] + sub
-    return None
+def _hs_within(edges: list[Edge], budget: int, search: _Search) -> bool:
+    """Whether some set of at most `budget` vertices hits every edge.
+
+    Depth-first over the d ways to hit the first edge, with an explicit
+    stack: an entry (edges, budget, v) is the child that takes v into the
+    set, with the parent's edges and the child's budget.
+    """
+    stack: list[tuple[list[Edge], int, int]] = []
+    while True:
+        if not edges:
+            return True
+        search.tick()
+        if budget > 0 and _greedy_disjoint_count(edges) <= budget:
+            stack.extend((edges, budget - 1, v) for v in reversed(edges[0]))
+        if not stack:
+            return False
+        parent, budget, v = stack.pop()
+        edges = [f for f in parent if v not in f]
 
 
 def _min_hs(edges: list[Edge], search: _Search) -> tuple[int, ...]:
@@ -91,7 +97,7 @@ def _min_hs(edges: list[Edge], search: _Search) -> tuple[int, ...]:
         return ()
     # the first feasible size from lb up: the vertices of lb's disjoint edges hit every edge
     lb = _greedy_disjoint_count(edges)
-    size = next(s for s in itertools.count(lb) if _hs_within(edges, s, search) is not None)
+    size = next(s for s in itertools.count(lb) if _hs_within(edges, s, search))
     # lexicographically smallest optimum: extend vertex by vertex
     chosen: list[int] = []
     rem = edges
@@ -108,7 +114,7 @@ def _min_hs(edges: list[Edge], search: _Search) -> tuple[int, ...]:
             if v <= prev or len(rem) - degree[v] > reach:
                 continue
             rest = [f for f in rem if v not in f]
-            if _hs_within(rest, budget - 1, search) is not None:
+            if _hs_within(rest, budget - 1, search):
                 chosen.append(v)
                 rem = rest
                 budget -= 1
@@ -133,35 +139,34 @@ def min_vertex_cover(g: Hypergraph, limits: SolverLimits = DEFAULT_LIMITS) -> tu
 
 def _max_packing(edges: tuple[Edge, ...], search: _Search) -> tuple[Edge, ...]:
     # each edge becomes an int mask over its vertices, relabelled densely in
-    # first-seen order; a node receives the indices of the edges compatible
-    # with its partial packing, in canonical order
+    # first-seen order; a stack entry (compat, size) is a node whose partial
+    # packing is cur[:size], with the indices of the edges compatible with it
+    # in canonical order. The include child is pushed last, so it is visited
+    # before the exclude child.
     ids: dict[int, int] = {}
     masks = [sum(1 << ids.setdefault(v, len(ids)) for v in e) for e in edges]
     mask_of = masks.__getitem__
     best: list[Edge] = []
-
-    def rec(compat: list[int], cur: list[Edge]) -> None:
-        # the exclude branch is a tail call, taken in this frame, so the
-        # depth is the size of the packing
-        while True:
-            search.tick()
-            if not compat:
-                return
-            free = functools.reduce(operator.or_, map(mask_of, compat))
-            if len(cur) + min(len(compat), free.bit_count() // len(edges[0])) <= len(best):
-                return
-            j = compat[0]
-            rest = compat[1:]
-            cur.append(edges[j])
-            if len(cur) > len(best):
-                best[:] = cur
-            mj = masks[j]
-            rec([i for i in rest if not masks[i] & mj], cur)
-            cur.pop()
-            compat = rest
-
-    if edges:
-        rec(list(range(len(edges))), [])
+    cur: list[Edge] = []
+    stack = [(list(range(len(edges))), 0)] if edges else []
+    pop, push, tick = stack.pop, stack.append, search.tick
+    while stack:
+        compat, size = pop()
+        del cur[size:]
+        tick()
+        if not compat:
+            continue
+        free = functools.reduce(operator.or_, map(mask_of, compat))
+        if size + min(len(compat), free.bit_count() // len(edges[0])) <= len(best):
+            continue
+        j = compat[0]
+        rest = compat[1:]
+        push((rest, size))
+        cur.append(edges[j])
+        if len(cur) > len(best):
+            best[:] = cur
+        mj = masks[j]
+        push(([i for i in rest if not masks[i] & mj], size + 1))
     return tuple(best)
 
 
@@ -188,6 +193,8 @@ def max_t_cut(
     """
     if g.d != 2:
         raise ValueError(f"t-cut needs a graph (d=2), got d={g.d}")
+    if not is_integer(t):
+        raise ValueError(f"t must be an integer, got {t!r}")
     if t < 2:
         raise ValueError("need at least two parts")
     edges = g.edges
@@ -249,6 +256,7 @@ class DegreeProfile:
 def degree_profile(g: Hypergraph, k: int) -> DegreeProfile:
     if g.d != 2:
         raise ValueError(f"degree profile needs a graph (d=2), got d={g.d}")
+    require_integer("k", k, 0)
     threshold = 20 * k
     deg = g.degrees()
     v_high = tuple(v for v in range(g.n) if deg[v] >= threshold)
@@ -261,7 +269,7 @@ def degree_profile(g: Hypergraph, k: int) -> DegreeProfile:
 
 
 def representative_family(
-    h: Hypergraph, k: int, limits: SolverLimits = DEFAULT_LIMITS, guard: int = 10**6
+    h: Hypergraph, k: int, limits: SolverLimits = DEFAULT_LIMITS
 ) -> tuple[Edge, ...]:
     """Sub-family preserving, for every vertex set X with |X| <= k, the
     existence of an edge avoiding X.
@@ -272,19 +280,14 @@ def representative_family(
     of size <= k. So every X keeps an avoider at every step, and the surviving
     family is irredundant, which caps its size at C(k+d, d). The petal search
     counts its nodes against the limits, and the time budget is also checked
-    once per edge. Instances with more than `guard` sets X (the sum of C(n, j)
-    over j <= k) are refused with a ValueError.
+    once per edge.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    total = sum(math.comb(h.n, j) for j in range(k + 1))
-    if total > guard:
-        raise ValueError(f"enumerating {total} sets X exceeds guard {guard}")
+    require_integer("k", k, 0)
     search = _Search(limits)
     kept = list(h.edges)
     for e in h.edges:
         search.check_deadline()
         petals = [tuple(v for v in f if v not in e) for f in kept if f != e]
-        if _hs_within(petals, k, search) is None:
+        if not _hs_within(petals, k, search):
             kept.remove(e)
     return tuple(kept)

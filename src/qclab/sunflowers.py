@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, require_integer
 from .solvers import DEFAULT_LIMITS, SolverLimits, _max_packing, _Search
 
 
@@ -114,8 +114,7 @@ def find_sunflower(
 
     Guaranteed to find one whenever the edge count exceeds d! * (t-1)^d.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
+    require_integer("t", t, 1)
     for core in candidate_cores(h, include_empty=True):
         petals = _petals(h, core)
         if len(petals) < t:
@@ -142,6 +141,7 @@ def classify_cores(h: Hypergraph, k: int, limits: SolverLimits = DEFAULT_LIMITS)
     proper subsets only: a large core is always significant itself, and on
     instances with a hitting set of size at most k the empty core never is.
     """
+    require_integer("k", k, 0)
     d = h.d
     threshold = 10 * d * k
     infos: list[CoreInfo] = []

@@ -314,6 +314,24 @@ def test_verify_instance_core_budget_is_reported_not_raised():
         assert out[key].startswith("skipped:")
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, v) for v in range(1, 1101)],
+        [(v, v + 1) for v in range(1100)],
+        [(2 * i, 2 * i + 1) for i in range(1100)],
+    ],
+    ids=["star", "path", "matching"],
+)
+def test_verify_instance_deeper_than_the_recursion_limit(edges):
+    # 1,100 edges or vertices: one Python frame per element would overflow
+    g = new_hypergraph(2200, 2, edges)
+    out = verify_instance(g, 2, limits=SolverLimits(time_budget_ms=100))
+    for key in ("min_hitting_set", "max_set_packing", "min_vertex_cover", "max_matching",
+                "max_t_cut", "representative_family_size", "core_report"):
+        assert isinstance(out[key], (list, int, dict)) or out[key].startswith("skipped:")
+
+
 def test_cli_colors_factor_reaches_the_algorithm_it_runs(tmp_path, capsys):
     inst = tmp_path / "c.hg"
     cli_main(["gen", "planted-cut", "--n", "20", "--t", "2", "--k", "3", "--seed", "1",

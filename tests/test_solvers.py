@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 import qclab.solvers
 
 from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph
+from qclab.harness import verify_instance
 from qclab.solvers import (
     BudgetExceeded,
     SolverLimits,
+    _hs_within,
     _max_packing,
     _min_hs,
     _Search,
@@ -24,7 +26,7 @@ from qclab.solvers import (
     min_vertex_cover,
     representative_family,
 )
-from qclab.sunflowers import candidate_cores
+from qclab.sunflowers import candidate_cores, classify_cores, find_sunflower
 
 from reference import (
     NodeBudget,
@@ -233,10 +235,35 @@ def test_representative_family_bound_and_property():
                     assert any(not x.intersection(f) for f in fam_sets)
 
 
-def test_representative_family_guard():
-    h = gen_gnp(40, 2, 0.1, seed=1)
-    with pytest.raises(ValueError):
-        representative_family(h, 3, guard=10)
+def test_representative_family_of_a_sparse_graph_on_200_vertices():
+    # 1,333,501 sets X of at most 3 vertices; the deletion search visits 206 nodes
+    g = gen_gnp(200, 2, 0.01, seed=1)
+    assert len(representative_family(g, 3)) == 4
+    out = verify_instance(g, 3, limits=SolverLimits(max_branch_nodes=1000))
+    assert out["representative_family_size"] == 4
+
+
+_P3 = new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: representative_family(_P3, True), "k", id="representative-k-bool"),
+        pytest.param(lambda: representative_family(_P3, 1.5), "k", id="representative-k-float"),
+        pytest.param(lambda: max_t_cut(_P3, 2.5), "t", id="t-cut"),
+        pytest.param(lambda: find_sunflower(_P3, 1.5), "t", id="sunflower-t"),
+        pytest.param(lambda: classify_cores(_P3, -1), "k", id="classify-k"),
+        pytest.param(lambda: degree_profile(_P3, -1), "k", id="degree-profile-k"),
+        pytest.param(lambda: verify_instance(_P3, 1, t=2.5), "t", id="verify-t"),
+        pytest.param(lambda: verify_instance(_P3, -1), "k", id="verify-k"),
+        pytest.param(lambda: SolverLimits(time_budget_ms=-5), "time_budget_ms", id="time"),
+        pytest.param(lambda: SolverLimits(max_branch_nodes=1.5), "max_branch_nodes", id="nodes"),
+    ],
+)
+def test_solver_arguments_are_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
 
 
 @given(st.integers(0, 10_000))
@@ -383,6 +410,39 @@ def test_packing_of_a_star_deeper_than_the_recursion_limit():
     star = new_hypergraph(1501, 2, [(0, v) for v in range(1, 1501)])
     assert max_set_packing(star) == ((0, 1),)
     assert max_matching(star) == ((0, 1),)
+
+
+def _matching(m, d):
+    return new_hypergraph(m * d, d, [range(d * i, d * i + d) for i in range(m)])
+
+
+def test_packing_of_a_matching_deeper_than_the_recursion_limit():
+    # every one of the 1,500 edges is packed
+    pairs = _matching(1500, 2)
+    assert max_set_packing(pairs) == max_matching(pairs) == pairs.edges
+
+
+def test_cover_search_of_a_matching_deeper_than_the_recursion_limit():
+    # the first branch takes one vertex per edge; the disjoint edges prune budget 1,499 at the root
+    edges = list(_matching(1500, 2).edges)
+    for budget, found, nodes in ((1500, True, 1500), (1499, False, 1)):
+        search = _Search(SolverLimits())
+        assert (_hs_within(edges, budget, search), search.nodes) == (found, nodes)
+
+
+def test_searches_run_under_a_shallow_recursion_limit(shallow_stack):
+    # 60-edge inputs: a search that recursed once per edge, vertex or chosen
+    # element would pass the limit
+    pairs = _matching(60, 2)
+    assert len(shallow_stack(min_hitting_set, pairs)) == 60
+    assert shallow_stack(max_set_packing, pairs) == pairs.edges
+    triples = _matching(60, 3)
+    assert shallow_stack(max_set_packing, triples) == triples.edges
+    assert len(shallow_stack(representative_family, pairs, 2)) == 3
+    path = new_hypergraph(61, 2, [(v, v + 1) for v in range(60)])
+    assert shallow_stack(max_t_cut, path, 2)[1] == 60
+    sunflower = new_hypergraph(121, 3, [(0, 2 * i + 1, 2 * i + 2) for i in range(60)])
+    assert (0,) in shallow_stack(classify_cores, sunflower, 1).large_cores
 
 
 def _t_cut_outcome(g, t, max_nodes):
