@@ -134,7 +134,7 @@ class AlgorithmResult:
 
     def query_counts_by_round(self, d: int) -> tuple[int, ...]:
         """Closed-form C(q_r, d) per round, recomputed from the colorings."""
-        return tuple(math.comb(len(set(c.color)), d) for c in self.colorings)
+        return tuple(math.comb(len(set(c.array.tolist())), d) for c in self.colorings)
 
 
 def _check_args(
@@ -480,7 +480,7 @@ def _cut_round(t: int, limits: SolverLimits):
         """Exact max t-cut of the sampled edges over whole-class assignments."""
         # contract each touched color class to one node, in ascending color
         # order; sampled edges join distinct classes
-        color, sampled = c.color, sample.graph.edges
+        color, sampled = c.array.tolist(), sample.graph.edges
         rank = {col: i for i, col in enumerate(sorted({color[v] for e in sampled for v in e}))}
         edges = tuple(sorted(tuple(sorted((rank[color[u]], rank[color[v]]))) for u, v in sampled))
         class_parts, size = class_cut(max(len(rank), 1), edges)

@@ -14,33 +14,77 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .hypergraph import all_integers, is_integer, require_integer
 from .rng import block_integers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class HashColoring:
-    """A map from vertices [0, n) to colors [0, b)."""
+    """A map from vertices [0, n) to colors [0, b), held as one read-only
+    int64 row. Colorings are equal when n, b and the colors are."""
 
     n: int
     b: int
-    color: tuple[int, ...]
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.b < 1:
-            raise ValueError("need at least one color")
-        if len(self.color) != self.n:
-            raise ValueError(f"coloring has {len(self.color)} entries, expected {self.n}")
-        if not all(_is_int_type(t) for t in set(map(type, self.color))):
+    def __init__(self, n: int, b: int, color: Sequence[int] | np.ndarray) -> None:
+        require_integer("n", n, 0)
+        _require_colors(b)
+        if not (
+            color.dtype.kind in "iu" if isinstance(color, np.ndarray) else all_integers(color)
+        ):
             raise ValueError("colors must be integers")
-        if self.color and (min(self.color) < 0 or max(self.color) >= self.b):
-            raise ValueError("color value outside [0, b)")
+        try:
+            array = np.array(color, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("color value outside [0, b)") from None
+        if array.shape != (n,):
+            raise ValueError(f"coloring has {array.size} entries, expected {n}")
+        _set(self, n, b, _read_only(array, b))
+
+    @property
+    def color(self) -> tuple[int, ...]:
+        """The colors as a tuple of Python ints."""
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HashColoring):
+            return NotImplemented
+        return (self.n, self.b, self.array.tobytes()) == (other.n, other.b, other.array.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.b, self.array.tobytes()))
 
 
-def _is_int_type(t: type) -> bool:
-    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+def _set(c: HashColoring, n: int, b: int, array: np.ndarray) -> HashColoring:
+    # past the frozen __setattr__, once per coloring
+    c.__dict__.update(n=n, b=b, array=array)
+    return c
+
+
+def _read_only(colors: np.ndarray, b: int) -> np.ndarray:
+    """`colors` made read-only, once every value is checked to lie in [0, b)."""
+    if colors.size and (colors.min() < 0 or colors.max() >= b):
+        raise ValueError("color value outside [0, b)")
+    colors.flags.writeable = False
+    return colors
+
+
+def _colorings(n: int, b: int, block: np.ndarray) -> list[HashColoring]:
+    """One coloring per row of the (count, n) int64 `block`, each a read-only
+    view of it: the block is checked once, not row by row."""
+    block = _read_only(block, b)
+    return [_set(object.__new__(HashColoring), n, b, row) for row in block]
+
+
+def _require_colors(b: object) -> None:
+    if is_integer(b) and b < 1:
+        raise ValueError("need at least one color")
+    require_integer("b", b, 1)
 
 
 @dataclass(frozen=True)
@@ -68,18 +112,18 @@ class PerfectFamily:
 
 def random_coloring(n: int, b: int, rng: np.random.Generator) -> HashColoring:
     """Color each vertex uniformly and independently from [0, b)."""
-    if b < 1:
-        raise ValueError("need at least one color")
-    return HashColoring(n=n, b=b, color=tuple(rng.integers(0, b, size=n).tolist()))
+    require_integer("n", n, 0)
+    _require_colors(b)
+    return _colorings(n, b, rng.integers(0, b, size=(1, n)))[0]
 
 
 def random_colorings(n: int, b: int, seed: int, tag: object, count: int) -> list[HashColoring]:
     """Colorings 0..count-1, the r-th equal to
     `random_coloring(n, b, rng_from(seed, tag, r))`, drawn as one block."""
-    if b < 1:
-        raise ValueError("need at least one color")
-    rows = block_integers(seed, tag, count, b, n).tolist()
-    return [HashColoring(n=n, b=b, color=tuple(row)) for row in rows]
+    require_integer("n", n, 0)
+    _require_colors(b)
+    require_integer("count", count, 0)
+    return _colorings(n, b, block_integers(seed, tag, count, b, n))
 
 
 def classes(c: HashColoring) -> ColorClasses:
@@ -117,16 +161,14 @@ def next_prime(x: int) -> int:
 
 def perfect_family(n: int, s: int, range_b: int) -> PerfectFamily:
     """Explicit family of p-1 modular colorings, injective-family for s-subsets."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if s < 1:
-        raise ValueError("subset size must be positive")
+    require_integer("n", n, 1)
+    require_integer("s", s, 1)
+    require_integer("range_b", range_b, 1)
     if range_b < 4 * s * s:
         raise ValueError(f"need range_b >= 4*s^2 = {4 * s * s}, got {range_b}")
     p = next_prime(max(n, range_b))
     colors = np.arange(1, p)[:, None] * np.arange(n) % p % range_b  # row a-1 is member a
-    members = tuple(HashColoring(n=n, b=range_b, color=tuple(row)) for row in colors.tolist())
-    return PerfectFamily(s=s, b=range_b, p=p, members=members)
+    return PerfectFamily(s=s, b=range_b, p=p, members=tuple(_colorings(n, range_b, colors)))
 
 
 def verify_perfect(f: PerfectFamily, n: int | None = None, guard: int = 10**6) -> bool:

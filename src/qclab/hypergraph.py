@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +30,13 @@ Edge = tuple[int, ...]
 def is_integer(value: object) -> bool:
     """An integral number that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def all_integers(values: Iterable[object]) -> bool:
+    """Whether every value is an integer by `is_integer`'s rule, judged once per type."""
+    return all(
+        issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, values))
+    )
 
 
 def require_integer(name: str, value: object, least: int) -> None:
@@ -50,10 +58,31 @@ class Hypergraph:
             raise ValueError(f"need at least one vertex, got n={self.n}")
         if self.d < 2:
             raise ValueError(f"edge arity must be at least 2, got d={self.d}")
+        # whole-list checks at C speed; the per-edge loop runs only to name
+        # the first bad edge
+        edges = self.edges
+        if not edges:
+            return
+        if set(map(len, edges)) != {self.d} or not all_integers(
+            itertools.chain.from_iterable(edges)
+        ):
+            self._raise_first_fault()
+        columns = tuple(zip(*edges))
+        if not (
+            all(all(map(operator.lt, a, b)) for a, b in itertools.pairwise(columns))
+            and min(columns[0]) >= 0
+            and max(columns[-1]) < self.n
+            and all(map(operator.lt, edges, edges[1:]))
+        ):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
         prev = None
         for e in self.edges:
             if len(e) != self.d:
                 raise ValueError(f"edge {e} has arity {len(e)}, expected {self.d}")
+            if not all_integers(e):
+                raise ValueError(f"edge {e} has a non-integer vertex")
             if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
                 raise ValueError(f"edge {e} is not strictly increasing")
             if e[0] < 0 or e[-1] >= self.n:
@@ -85,7 +114,9 @@ def new_hypergraph(n: int, d: int, edges: Iterable[Sequence[int]]) -> Hypergraph
     """
     canon = set()
     for raw in edges:
-        e = tuple(sorted(int(v) for v in raw))
+        if not all_integers(raw):
+            raise ValueError(f"edge {tuple(raw)} has a non-integer vertex")
+        e = tuple(sorted(map(int, raw)))
         if len(e) != d:
             raise ValueError(f"edge {tuple(raw)} has arity {len(raw)}, expected {d}")
         if len(set(e)) != d:

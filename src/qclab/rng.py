@@ -127,19 +127,41 @@ def block_integers(seed: int, tag: object, count: int, b: int, n: int) -> np.nda
     """A (count, n) int64 array whose row r is
     `rng_from(seed, tag, r).integers(0, b, size=n)`.
 
-    The Philox keys of all rows come from one numpy pass. The draws are
-    numpy's own: one Generator, whose Philox state is reset to each row's
-    key with a zero counter and empty buffers, as a fresh one would be.
+    The Philox keys of all rows come from one numpy pass. One Philox is reset
+    to each row's key with a zero counter and empty buffers, as a fresh one
+    would be, and gives the row's raw 64-bit words. For 2 <= b < 2**32 numpy's
+    `integers` splits each word into two 32-bit ones, low half first, and maps
+    word w to (w * b) >> 32, drawing again when the low 32 bits of w * b are
+    below (2**32 - b) % b (Lemire's method); that step runs once over the
+    block. A row with a word the step would reject, and every row of any
+    other b, is drawn by numpy's `integers` itself.
     """
     if not 0 <= count <= _MASK32 + 1:
         raise ValueError(f"need 0 <= count <= 2**32 rows, got {count}")
-    out = np.empty((count, n), dtype=np.int64)
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     state = bits.state
-    for r, key in enumerate(_philox_keys(seed, tag, count)):
+
+    def reset(key: list[int]) -> None:
         state["state"]["key"] = key
         bits.state = state
+
+    keys = _philox_keys(seed, tag, count)
+    out = np.empty((count, n), dtype=np.int64)
+    redraw = range(count)
+    if 2 <= b <= _MASK32:
+        words = np.empty((count, -(-n // 2)), dtype=np.uint64)
+        for r, key in enumerate(keys):
+            reset(key)
+            words[r] = bits.random_raw(words.shape[1])
+        halves = words.astype("<u8", copy=False).view("<u4")[:, :n]
+        # uint32 arrays wrap: halves * b here is the low 32 bits of w * b
+        redraw = (halves * np.uint32(b) < (_MASK32 + 1 - b) % b).any(axis=1).nonzero()[0]
+        product = out.view(np.uint64)
+        np.multiply(halves, np.uint64(b), out=product)
+        product >>= np.uint64(32)
+    for r in redraw:
+        reset(keys[r])
         out[r] = gen.integers(0, b, size=n)
     return out
 

@@ -55,7 +55,7 @@ def samples(
     coloring's class tuples."""
     # each edge answers at most one class tuple, so the witnesses are distinct
     graph_of = cache(lambda picks: Hypergraph(session.n, session.d, session.witnesses(picks)))
-    rows = session.ask_colorings(True, [c.color for c in colorings])
+    rows = session.ask_colorings(True, [c.array for c in colorings])
     for c, (labels, _, picks) in zip(colorings, rows):
         graph = graph_of(tuple(sorted(picks.tolist())))
         yield SampledSubgraph(graph, (c,), math.comb(int(labels.max()) + 1, session.d))
@@ -66,7 +66,7 @@ def quotients(
 ) -> Iterator[QuotientInstance]:
     """One existence-query quotient per coloring, in order: C(q, d) yes/no
     queries over the coloring's class tuples."""
-    for labels, tuples, _ in session.ask_colorings(False, [c.color for c in colorings]):
+    for labels, tuples, _ in session.ask_colorings(False, [c.array for c in colorings]):
         edges = tuple(map(tuple, tuples.tolist()))
         graph = Hypergraph(n=int(labels.max()) + 1, d=session.d, edges=edges)
         yield QuotientInstance(graph=graph, class_map=tuple(labels.tolist()))
@@ -90,7 +90,7 @@ def sample_union(session: OracleSession, b: int, t: int, seed: int) -> SampledSu
     provenance = tuple(random_colorings(session.n, b, seed, "sample", t))
     before = session.stats().total
     picked: set[int] = set()
-    for _, _, picks in session.ask_colorings(True, [c.color for c in provenance]):
+    for _, _, picks in session.ask_colorings(True, [c.array for c in provenance]):
         picked.update(picks.tolist())
     graph = Hypergraph(n=session.n, d=session.d, edges=session.witnesses(sorted(picked)))
     return SampledSubgraph(graph, provenance, session.stats().total - before)

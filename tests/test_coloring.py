@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qclab.coloring import (
     next_prime,
     perfect_family,
     random_coloring,
+    random_colorings,
     verify_perfect,
 )
 from qclab.rng import rng_from
@@ -154,3 +156,62 @@ def test_numpy_draws_the_stream_the_stored_outputs_assume():
         f"numpy {np.__version__} draws a different stream than numpy==2.4.6, "
         "the version .github/workflows/tests.yml pins"
     )
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (HashColoring, (2, 2.5, (0, 1))),
+        (HashColoring, (2, True, (0, 0))),
+        (HashColoring, (2.0, 2, (0, 1))),
+        (HashColoring, (-1, 2, ())),
+        (HashColoring, (1, 2, (2**64,))),
+        (random_coloring, (3, 2.5, 0)),
+        (random_colorings, (3, 2.5, 1, "round", 2)),
+        (random_colorings, (3, 0, 1, "round", 2)),
+        (random_colorings, (4, 4, 1, "round", 2.0)),
+        (random_colorings, (4, 4, 1, "round", -1)),
+        (random_colorings, (4.0, 4, 1, "round", 2)),
+        (perfect_family, (5, 2, 16.5)),
+        (perfect_family, (5, 2.0, 16)),
+        (perfect_family, (5.0, 2, 16)),
+        (perfect_family, (5, 0, 16)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_coloring_parameters_must_be_integers_in_range(fn, args):
+    if fn is random_coloring:
+        args = (*args[:2], rng_from(args[2]))
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_colorings_are_read_only_rows_of_one_block():
+    drawn = random_colorings(30, 900, 5, "round", 4)
+    block = drawn[0].array.base
+    assert block.shape == (4, 30) and block.dtype == np.int64
+    for c in drawn + list(perfect_family(6, 1, 4).members) + [random_coloring(9, 3, rng_from(2))]:
+        assert not c.array.flags.writeable
+        with pytest.raises(ValueError):
+            c.array[0] = 0
+        with pytest.raises(ValueError):
+            c.array.flags.writeable = True
+    for i, c in enumerate(drawn):
+        assert c.array.base is block and np.array_equal(c.array, block[i])
+        assert all(type(v) is int for v in c.color)
+        for built in (HashColoring(30, 900, c.color), HashColoring(30, 900, list(c.color))):
+            assert built == c and hash(built) == hash(c)
+            assert not built.array.flags.writeable
+    assert HashColoring(30, 901, drawn[0].color) != drawn[0]
+    assert drawn[0] != drawn[1]
+
+
+def test_random_colorings_keep_one_int64_block():
+    tracemalloc.start()
+    try:
+        drawn = random_colorings(20000, 2000, 1, "round", 100)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(drawn) == 100
+    assert kept < 20 * 2**20, f"100 colorings of 20000 vertices keep {kept / 2**20:.1f} MB"

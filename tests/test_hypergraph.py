@@ -44,6 +44,20 @@ def test_new_hypergraph_rejects_out_of_range_and_bad_arity():
         new_hypergraph(3, 1, [])
 
 
+@pytest.mark.parametrize(
+    "build, bad, good",
+    [
+        (Hypergraph, ((0.5, 1.5),), ((np.int64(0), np.int64(1)),)),
+        (Hypergraph, ((False, True),), ((np.uint8(0), np.int32(1)),)),
+        (new_hypergraph, [(0.5, 1.7)], [(np.int64(1), np.uint16(0))]),
+    ],
+)
+def test_vertex_ids_must_be_integers(build, bad, good):
+    with pytest.raises(ValueError, match="non-integer vertex"):
+        build(3, 2, bad)
+    assert build(3, 2, good).edges == ((0, 1),)
+
+
 def test_union_idempotent_and_merges():
     g = new_hypergraph(3, 2, [(0, 1)])
     assert union(g, g) == g

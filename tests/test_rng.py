@@ -1,8 +1,9 @@
 """The block draw against the per-stream draw it replaces.
 
 `block_integers(seed, tag, count, b, n)` derives every row's Philox key in
-one numpy pass, mirroring numpy's `SeedSequence`, and then lets numpy's own
-`integers` draw each row. Row r must equal
+one numpy pass, mirroring numpy's `SeedSequence`, maps the rows' raw Philox
+words to [0, b) with numpy's bounded step over the whole block, and lets
+numpy's own `integers` draw the rows that step cannot. Row r must equal
 `rng_from(seed, tag, r).integers(0, b, size=n)` exactly, whatever the seed,
 tag, bound and length; every coloring, stored output and seed-0 digest rests
 on that.
@@ -23,9 +24,11 @@ from qclab.sampler import sample_union
 
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, -7)  # a negative seed is masked to 64 bits
 TAGS = ("round", "sample", 3)
-# 3 * 2**30 rejects a quarter of the draws; 2**32 - 1 and up leave the
-# buffered 32-bit path
-BOUNDS = (1, 2, 7, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
+# 3 * 2**30 rejects a quarter of the draws and 10**9 about 6.9 %, so a block
+# mixes rows with and without a redraw; 691_200 is the d = 3 hitting-set
+# palette at k = 1; 2**32 - 1 is the largest bound of the 32-bit step, and
+# 2**32 and up leave it
+BOUNDS = (1, 2, 7, 691_200, 10**9, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
 
 
 def assert_rows_equal(seed, tag, count, b, n):
