@@ -72,6 +72,7 @@ from .solvers import (
     DegreeProfile,
     SolverLimits,
     degree_profile,
+    has_hitting_set,
     max_matching,
     max_set_packing,
     max_t_cut,

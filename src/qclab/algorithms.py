@@ -48,6 +48,7 @@ from .sampler import sample_union, samples
 from .solvers import (
     DEFAULT_LIMITS,
     SolverLimits,
+    has_hitting_set,
     max_matching,
     max_set_packing,
     max_t_cut,
@@ -210,16 +211,15 @@ def _vote(
     session: OracleSession,
     k: int,
     colorings,
-    cover: Callable[..., tuple[int, ...]],
     constants: AlgorithmConstants,
     limits: SolverLimits,
 ) -> AlgorithmResult:
     """Majority vote over class quotients on "the quotient has a cover of at
-    most k vertices" (ties resolve to "no")."""
+    most k vertices", asked of the bounded cover search (ties resolve to "no")."""
     before = session.stats()
-    votes = sum(
-        _rounds(session, colorings, lambda q, c: len(cover(q.graph, limits)) <= k, existence=True)
-    )
+    votes = sum(_rounds(
+        session, colorings, lambda q, c: has_hitting_set(q.graph, k, limits), existence=True
+    ))
     return _result(session, before, constants, colorings, 2 * votes > len(colorings))
 
 
@@ -381,13 +381,13 @@ def vc_decision(
     existence (yes/no) queries.
 
     Each round colors at 100*k^4 colors (k=0 colors as k=1), builds the class
-    quotient graph, and votes on the quotient's exact cover size; the
+    quotient graph, and votes on whether some k vertices cover it; the
     majority wins (ties resolve to "no").
     """
     _check_args(session, k, graph="vertex cover", k_min=0)
     b = constants.vc_decision_colors_factor * max(k, 1) ** 4
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
-    return _vote(session, k, colorings, min_vertex_cover, constants, limits)
+    return _vote(session, k, colorings, constants, limits)
 
 
 # -- hitting set -------------------------------------------------------
@@ -439,11 +439,11 @@ def hs_decision(
 ) -> AlgorithmResult:
     """Decide whether a hitting set of size at most k exists, via existence
     queries on class quotients at gamma*k^(2d) colors (k=0 colors as k=1)
-    and a majority vote (ties resolve to "no")."""
+    and a majority vote on "some k vertices hit it" (ties resolve to "no")."""
     _check_args(session, k, k_min=0)
     b = constants.hs_decision_gamma_for(session.d) * max(k, 1) ** (2 * session.d)
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
-    return _vote(session, k, colorings, min_hitting_set, constants, limits)
+    return _vote(session, k, colorings, constants, limits)
 
 
 # -- cut ---------------------------------------------------------------

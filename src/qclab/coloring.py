@@ -175,12 +175,17 @@ def verify_perfect(f: PerfectFamily, n: int | None = None, guard: int = 10**6) -
     """Exhaustively check that every s-subset is injectively colored somewhere.
 
     Subsets of size exactly min(s, n) suffice: a member injective on a
-    superset is injective on the subset.
+    superset is injective on the subset. The subsets are drawn from the first
+    n vertices; n defaults to, and may not exceed, the vertices every member
+    colors.
     """
     if not f.members:
         return False
-    if n is None:
-        n = f.members[0].n
+    colored = min(m.n for m in f.members)
+    n = colored if n is None else n
+    require_integer("n", n, 0)
+    if n > colored:
+        raise ValueError(f"the members color {colored} vertices, cannot check n={n}")
     size = min(f.s, n)
     if math.comb(n, size) > guard:
         raise ValueError(f"C({n},{size}) exceeds enumeration guard {guard}")

@@ -34,6 +34,7 @@ from .hypergraph import (
     is_integer,
     is_packing,
     require_integer,
+    require_integers,
 )
 from .oracle import EdgeSelectionPolicy, OracleSession, QueryStats
 from .rng import derive_seed
@@ -41,6 +42,7 @@ from .solvers import (
     BudgetExceeded,
     DEFAULT_LIMITS,
     SolverLimits,
+    has_hitting_set,
     max_matching,
     max_set_packing,
     max_t_cut,
@@ -102,6 +104,7 @@ def generate_instance(
     kind: str, n: int, d: int, k: int, seed: int, m: int = 0, extra: int = 0, t: int = 2
 ) -> tuple[Hypergraph, Optional[PlantedTruth]]:
     if kind == "gnp":
+        require_integers(n=n, d=d, m=m)
         p = min(1.0, m / max(1, math.comb(n, d)))
         return gen_gnp(n, d, p, seed), None
     if kind == "planted-hs":
@@ -146,9 +149,9 @@ def _promised_judge(optimum: Optimum, valid) -> Judge:
     return judge
 
 
-def _decision_judge(optimum: Optimum, reaches) -> Judge:
+def _decision_judge(holds: Callable[..., bool]) -> Judge:
     def judge(hidden, k, t, result, limits):
-        truth = "yes" if reaches(optimum(hidden, t, limits), k) else "no"
+        truth = "yes" if holds(hidden, k, t, limits) else "no"
         answer = "yes" if result.answer else "no"
         return answer, truth, answer == truth, None
 
@@ -177,11 +180,11 @@ _PROMISED_COVER = _promised_judge(_min_cover, hits_every_edge)
 _COVER = _search_judge(
     _min_cover, operator.le, lambda w, h, k, t: hits_every_edge(w, h) and len(w) <= k, exact=True
 )
-_COVER_DECISION = _decision_judge(_min_cover, operator.le)
+_COVER_DECISION = _decision_judge(lambda h, k, t, limits: has_hitting_set(h, k, limits))
 _CUT = _search_judge(
     _max_cut, operator.ge, lambda w, h, k, t: crossing_edges(w, h) >= k and len(set(w)) <= t
 )
-_CUT_DECISION = _decision_judge(_max_cut, operator.ge)
+_CUT_DECISION = _decision_judge(lambda h, k, t, limits: _max_cut(h, t, limits) >= k)
 
 
 @dataclass(frozen=True)
@@ -324,9 +327,7 @@ class SweepConfig:
     summary_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("trials", "master_seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        require_integers(trials=self.trials, master_seed=self.master_seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for name in ("algorithms", "n", "k", "d", "t", "m", "extra"):
@@ -492,8 +493,7 @@ def verify_instance(
     budget, is reported as a skipped field.
     """
     require_integer("k", k, 0)
-    if not is_integer(t):
-        raise ValueError(f"t must be an integer, got {t!r}")
+    require_integers(t=t)
     out: dict[str, object] = {"n": hidden.n, "d": hidden.d, "m": hidden.m, "k": k}
 
     def attempt(name: str, fn: Callable[[], object]) -> None:

@@ -22,14 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import choice_rows, rng_from
+from .rng import choice_rows, is_integer, rng_from
 
 Edge = tuple[int, ...]
-
-
-def is_integer(value: object) -> bool:
-    """An integral number that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def all_integers(values: Iterable[object]) -> bool:
@@ -37,6 +32,13 @@ def all_integers(values: Iterable[object]) -> bool:
     return all(
         issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in set(map(type, values))
     )
+
+
+def require_integers(**values: object) -> None:
+    """Raise a ValueError naming the first of `values` that is not an integer."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def require_integer(name: str, value: object, least: int) -> None:
@@ -200,6 +202,7 @@ class PlantedTruth:
 
 def gen_gnp(n: int, d: int, p: float, seed: int) -> Hypergraph:
     """Include each of the C(n, d) potential edges independently with probability p."""
+    require_integers(n=n, d=d)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if p == 0.0:
@@ -219,6 +222,7 @@ def gen_planted_hitting_set(
     feasibility (the true optimum can be smaller and is recomputed by exact
     solvers where needed).
     """
+    require_integers(n=n, d=d, k=k, m=m)
     if k < 1:
         raise ValueError("k must be positive")
     if n < d:
@@ -255,6 +259,7 @@ def gen_planted_packing(
     The witness records the planted packing, a lower bound on the maximum;
     with extra=0 the maximum is exactly k.
     """
+    require_integers(n=n, d=d, k=k, extra=extra)
     if k < 1:
         raise ValueError("k must be positive")
     if d * k > n:
@@ -280,6 +285,7 @@ def gen_planted_packing(
 
 def gen_planted_cut(n: int, t: int, k: int, seed: int) -> tuple[Hypergraph, PlantedTruth]:
     """Graph (d=2) with a planted t-partition crossed by at least k edges."""
+    require_integers(n=n, t=t, k=k)
     if t < 2:
         raise ValueError("t must be at least 2")
     if k < 1:

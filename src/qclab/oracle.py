@@ -40,7 +40,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .coloring import class_labels
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, require_integers
 from .rng import mix_choice
 
 # query kinds in counter order
@@ -91,10 +91,13 @@ class OracleSession:
         self._n = hidden.n
         self._d = hidden.d
         self.policy = policy
+        require_integers(policy_seed=policy_seed)
         self.policy_seed = int(policy_seed)
         self._counts = [0, 0, 0, 0]  # bis, bise, gpis, gpise
         self._edge_mat = np.asarray(hidden.edges, dtype=np.intp).reshape(-1, hidden.d)
-        self._log: Optional[IO[str]] = open(log_path, "w", encoding="utf-8") if log_path else None
+        # opened for append, and emptied at the first query (see `_run`), so a
+        # call rejected before any query leaves an existing log as it was
+        self._log: Optional[IO[str]] = open(log_path, "a", encoding="utf-8") if log_path else None
 
     @property
     def n(self) -> int:
@@ -246,6 +249,8 @@ class OracleSession:
             ]
         picks = edges[starts]
         if self._log is not None:
+            if not base[0]:  # nothing logged yet: drop what the file held before
+                self._log.truncate(0)
             self._write_log(kind, labels, qs, rows, tuples, picks)
         return rows, tuples, picks
 

@@ -14,6 +14,7 @@ internals, which the numpy==2.4.6 pin covers.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +33,19 @@ def _tag_words(tag: object) -> list[int]:
     ]
 
 
+def is_integer(value: object) -> bool:
+    """An integral number that is not a bool."""
+    # a plain int skips the abstract-class check, many times slower
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
 def seed_words(seed: int, *tags: object) -> list[int]:
-    """Entropy word list for (seed, tags), usable as a SeedSequence."""
+    """Entropy word list for (seed, tags), usable as a SeedSequence. The
+    seed is any integer but a bool, taken mod 2**64."""
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     words = [int(seed) & _MASK64]
     for tag in tags:
         words.extend(_tag_words(tag))

@@ -19,7 +19,7 @@ import operator
 import time
 from dataclasses import dataclass, fields
 
-from .hypergraph import Edge, Hypergraph, is_integer, require_integer
+from .hypergraph import Edge, Hypergraph, require_integer, require_integers
 
 
 class BudgetExceeded(Exception):
@@ -130,6 +130,12 @@ def min_hitting_set(h: Hypergraph, limits: SolverLimits = DEFAULT_LIMITS) -> tup
     return _min_hs(list(h.edges), _Search(limits))
 
 
+def has_hitting_set(h: Hypergraph, k: int, limits: SolverLimits = DEFAULT_LIMITS) -> bool:
+    """Whether some set of at most k vertices meets every hyperedge."""
+    require_integer("k", k, 0)
+    return _hs_within(list(h.edges), k, _Search(limits))
+
+
 def min_vertex_cover(g: Hypergraph, limits: SolverLimits = DEFAULT_LIMITS) -> tuple[int, ...]:
     """Minimum vertex cover of a graph; the d=2 hitting set."""
     if g.d != 2:
@@ -193,8 +199,7 @@ def max_t_cut(
     """
     if g.d != 2:
         raise ValueError(f"t-cut needs a graph (d=2), got d={g.d}")
-    if not is_integer(t):
-        raise ValueError(f"t must be an integer, got {t!r}")
+    require_integers(t=t)
     if t < 2:
         raise ValueError("need at least two parts")
     edges = g.edges

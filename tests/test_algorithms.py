@@ -583,3 +583,29 @@ def test_cut_round_matches_the_used_color_contraction(inputs):
         sample.graph, coloring.color, lambda g: max_t_cut(g, t, DEFAULT_LIMITS)
     )
     assert _cut_round(t, DEFAULT_LIMITS)(sample, coloring) == expected
+
+
+def test_decision_votes_and_truth_build_no_minimum_cover(monkeypatch):
+    import qclab.algorithms
+    import qclab.harness
+
+    built = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            built.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (qclab.algorithms, qclab.harness):
+        for name in ("min_vertex_cover", "min_hitting_set"):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    g, _ = gen_planted_hitting_set(20, 2, 2, 30, seed=5)
+    h, _ = gen_planted_hitting_set(12, 3, 2, 20, seed=5)
+    assert vc_decision(fresh(g), 2, seed=1).answer is True
+    assert hs_decision(fresh(h), 2, seed=1).answer is True
+    for algo, hidden in (("vc-decision", g), ("hs-decision", h)):
+        report, _ = run_trial(algo, hidden, 2, seed=1)
+        assert report.truth == "yes" and report.success
+    assert built == []

@@ -110,6 +110,12 @@ def test_verify_perfect_trivial_cases():
     assert not verify_perfect(fake, n=4)
 
 
+@pytest.mark.parametrize("n", [9, 2.5, True, -1], ids=["above", "float", "bool", "negative"])
+def test_verify_perfect_rejects_an_n_the_members_do_not_color(n):
+    with pytest.raises(ValueError, match="^n must be an integer|^the members color 6 vertices"):
+        verify_perfect(perfect_family(6, 1, 4), n=n)
+
+
 def test_verify_perfect_guard():
     fam = perfect_family(8, 2, 16)
     with pytest.raises(ValueError):

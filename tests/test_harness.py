@@ -22,6 +22,7 @@ from qclab.hypergraph import (
     load_hypergraph,
     new_hypergraph,
     parse_hypergraph,
+    save_hypergraph,
 )
 from qclab.solvers import SolverLimits, min_vertex_cover
 
@@ -305,6 +306,31 @@ def test_query_log_closed_when_trial_raises(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         run_trial("cut", h, 2, t=2, log_path=str(tmp_path / "q.log"))
     assert len(handles) == 1 and handles[0].closed
+
+
+@pytest.mark.parametrize(
+    "algo, flags",
+    [
+        pytest.param("packing", ["--k", "2", "--t", "2"], id="packing-with-t"),
+        pytest.param("packing", ["--k", "0"], id="packing-k-0"),
+        pytest.param("vc-promised", ["--k", "2"], id="vc-promised-on-d-3"),
+    ],
+)
+def test_rejected_run_keeps_an_existing_query_log(tmp_path, capsys, algo, flags):
+    inst = tmp_path / "h.hg"
+    save_hypergraph(gen_planted_hitting_set(10, 3, 2, 15, seed=1)[0], str(inst))
+    log, fresh = tmp_path / "q.log", tmp_path / "fresh.log"
+    log.write_bytes(b"old lines\n")
+
+    def run(name, args, path):
+        return cli_main(["run", name, str(inst), *args, "--log-queries", str(path)])
+
+    assert run(algo, flags, log) == 1
+    assert log.read_bytes() == b"old lines\n"
+    assert run("packing", ["--k", "2"], log) == 0
+    assert run("packing", ["--k", "2"], fresh) == 0
+    capsys.readouterr()
+    assert log.read_bytes() == fresh.read_bytes() != b""
 
 
 def test_verify_instance_core_budget_is_reported_not_raised():

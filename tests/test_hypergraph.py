@@ -16,6 +16,7 @@ from qclab.hypergraph import (
     serialize_hypergraph,
     union,
 )
+from qclab.harness import generate_instance
 from qclab.solvers import max_set_packing, max_t_cut, min_hitting_set, min_vertex_cover
 
 
@@ -226,3 +227,25 @@ def test_planted_generators_reject_negative_counts():
 def test_planted_hitting_set_rejects_a_set_larger_than_n():
     with pytest.raises(ValueError, match="cannot plant a 5-set in 4 vertices"):
         gen_planted_hitting_set(4, 2, 5, 3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: generate_instance("planted-hs", 10.5, 2, 2, 0), "n", id="hs-n"),
+        pytest.param(lambda: generate_instance("planted-hs", 10, 2, 2, 0, m=5.5), "m", id="hs-m"),
+        pytest.param(lambda: gen_planted_hitting_set(10, 2.0, 2, 5, 0), "d", id="hs-d"),
+        pytest.param(lambda: gen_planted_hitting_set(10, 2, True, 5, 0), "k", id="hs-k"),
+        pytest.param(lambda: generate_instance("planted-packing", 10, 2, 2, 0, extra=2.5),
+                     "extra", id="packing-extra"),
+        pytest.param(lambda: gen_planted_packing(10, 2, 1.5, 0, 0), "k", id="packing-k"),
+        pytest.param(lambda: gen_planted_cut(10, 2.5, 3, 0), "t", id="cut-t"),
+        pytest.param(lambda: gen_planted_cut("10", 2, 3, 0), "n", id="cut-n"),
+        pytest.param(lambda: generate_instance("gnp", 10.5, 2, 0, 0, m=5), "n", id="gnp-n"),
+        pytest.param(lambda: generate_instance("gnp", 10, 2, 0, 0, m=5.5), "m", id="gnp-m"),
+        pytest.param(lambda: gen_gnp(10, 2.0, 0.3, 0), "d", id="gnp-d"),
+    ],
+)
+def test_generator_sizes_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()

@@ -19,7 +19,8 @@ from qclab.coloring import HashColoring, next_prime, perfect_family, random_colo
 from qclab.coloring import random_colorings
 from qclab.hypergraph import gen_planted_packing
 from qclab.oracle import OracleSession
-from qclab.rng import block_integers, rng_from
+from qclab.harness import generate_instance, run_trial
+from qclab.rng import block_integers, derive_seed, rng_from
 from qclab.sampler import sample_union
 
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, -7)  # a negative seed is masked to 64 bits
@@ -104,3 +105,26 @@ def test_perfect_family_members_equal_the_per_member_construction():
             for a in range(1, p)
         )
         assert f.p == p and f.members == want
+
+
+_H = gen_planted_packing(8, 2, 2, 3, seed=1)[0]
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: run_trial("packing", _H, 2, seed=1.5), "seed", id="trial-float"),
+        pytest.param(lambda: run_trial("packing", _H, 2, seed="7"), "seed", id="trial-str"),
+        pytest.param(lambda: run_trial("packing", _H, 2, seed=True), "seed", id="trial-bool"),
+        pytest.param(lambda: run_trial("packing", _H, 2, seed=None), "seed", id="trial-none"),
+        pytest.param(lambda: generate_instance("planted-hs", 8, 2, 2, 1.5, m=4), "seed",
+                     id="generator"),
+        pytest.param(lambda: rng_from(False, "round"), "seed", id="rng-from"),
+        pytest.param(lambda: derive_seed(2.0, "algo"), "seed", id="derive-seed"),
+        pytest.param(lambda: block_integers(np.float64(3), "round", 2, 5, 4), "seed", id="block"),
+        pytest.param(lambda: OracleSession(_H, policy_seed=1.5), "policy_seed", id="policy-seed"),
+    ],
+)
+def test_seeds_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()

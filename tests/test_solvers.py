@@ -19,6 +19,7 @@ from qclab.solvers import (
     _min_hs,
     _Search,
     degree_profile,
+    has_hitting_set,
     max_matching,
     max_set_packing,
     max_t_cut,
@@ -251,6 +252,9 @@ _P3 = new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
     [
         pytest.param(lambda: representative_family(_P3, True), "k", id="representative-k-bool"),
         pytest.param(lambda: representative_family(_P3, 1.5), "k", id="representative-k-float"),
+        pytest.param(lambda: has_hitting_set(_P3, True), "k", id="has-hitting-set-k-bool"),
+        pytest.param(lambda: has_hitting_set(_P3, 1.5), "k", id="has-hitting-set-k-float"),
+        pytest.param(lambda: has_hitting_set(_P3, -1), "k", id="has-hitting-set-k-negative"),
         pytest.param(lambda: max_t_cut(_P3, 2.5), "t", id="t-cut"),
         pytest.param(lambda: find_sunflower(_P3, 1.5), "t", id="sunflower-t"),
         pytest.param(lambda: classify_cores(_P3, -1), "k", id="classify-k"),
@@ -264,6 +268,24 @@ _P3 = new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
 def test_solver_arguments_are_rejected_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+@st.composite
+def cover_instances(draw):
+    """d = 2 or 3, at most 8 vertices, possibly no edges."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(d, 8))
+    edge = st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True)
+    return new_hypergraph(n, d, draw(st.lists(edge, max_size=12)))
+
+
+@given(cover_instances(), st.integers(0, 4))
+@example(new_hypergraph(3, 2, []), 0)
+@example(new_hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)]), 1)
+@settings(max_examples=150, deadline=None)
+def test_has_hitting_set_answers_whether_a_minimum_cover_fits(h, k):
+    fits = has_hitting_set(h, k)
+    assert fits == (len(min_hitting_set(h)) <= k) == (len(brute_min_cover(h)) <= k)
 
 
 @given(st.integers(0, 10_000))
