@@ -24,17 +24,21 @@ from .solvers import DEFAULT_LIMITS, SolverLimits
 
 def _constants_from_args(args: argparse.Namespace, algo: str):
     """Constant overrides from the flags; `--colors-factor` sets the color
-    constant of the algorithm being run (its registry entry names it)."""
+    constant of the algorithm being run (its registry entry names it), and a
+    flag whose constant the algorithm does not read is an error."""
+    spec = ALGORITHMS[algo]
     overrides: dict[str, int] = {}
-    for name, value in (
-        ("boost_c", args.boost_c),
-        ("hs_decision_gamma" if algo == "hs-decision" else "pack_gamma", args.gamma),
-        ("hs_alpha", args.alpha),
-        ("hs_beta", args.beta),
-        (ALGORITHMS[algo].colors, args.colors_factor),
+    for flag, name, value in (
+        ("--boost-c", "boost_c", args.boost_c),
+        ("--gamma", "hs_decision_gamma" if algo == "hs-decision" else "pack_gamma", args.gamma),
+        ("--alpha", "hs_alpha", args.alpha),
+        ("--beta", "hs_beta", args.beta),
+        ("--colors-factor", spec.colors, args.colors_factor),
     ):
         if value is None:
             continue
+        if name not in spec.reads:
+            raise ValueError(f"{flag} sets {name}, which {algo} does not read")
         if overrides.get(name, value) != value:
             raise ValueError(f"--colors-factor and another flag set {name} to different values")
         overrides[name] = value
@@ -79,7 +83,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     sys.stdout.write("\n")
     if args.output:
         write_csv([report], args.output)
-    return 0 if report.answer != "budget-exceeded" else 2
+    return 2 if "budget-exceeded" in (report.answer, report.truth) else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -120,42 +120,56 @@ Optimum = Callable[[Hypergraph, Optional[int], SolverLimits], int]
 Judge = Callable[..., tuple[str, str, Optional[bool], Optional[bool]]]
 
 
+def _judge(verdict: Callable, yes: str = "found", no: str = "not-exists") -> Judge:
+    """The algorithm's answer, then `verdict`'s truth, success and
+    witness_valid; a truth solve that trips its budget reads
+    `budget-exceeded`, with success and witness_valid empty."""
+
+    def judge(hidden, k, t, result, limits):
+        answer = yes if result.answer else no
+        try:
+            return (answer, *verdict(hidden, k, t, result, limits))
+        except BudgetExceeded:
+            return answer, "budget-exceeded", None, None
+
+    return judge
+
+
 def _search_judge(optimum: Optimum, reaches, valid, exact: bool = False) -> Judge:
     """Found / not-exists answers: the truth is whether the hidden optimum
     reaches k; a found witness must be valid on the hidden instance and, when
     `exact`, of optimum size."""
 
-    def judge(hidden, k, t, result, limits):
+    def verdict(hidden, k, t, result, limits):
         opt = optimum(hidden, t, limits)
         truth = "found" if reaches(opt, k) else "not-exists"
         if not result.answer:
-            return "not-exists", truth, truth == "not-exists", None
+            return truth, truth == "not-exists", None
         w = result.witness
         ok = valid(w, hidden, k, t)
-        return "found", truth, truth == "found" and ok and (not exact or len(w) == opt), ok
+        return truth, truth == "found" and ok and (not exact or len(w) == opt), ok
 
-    return judge
+    return _judge(verdict)
 
 
 def _promised_judge(optimum: Optimum, valid) -> Judge:
     """Promised variants always report a witness; success means it is a
     valid structure of exactly the hidden optimum's size."""
 
-    def judge(hidden, k, t, result, limits):
+    def verdict(hidden, k, t, result, limits):
         opt = optimum(hidden, t, limits)
         ok = valid(result.witness, hidden)
-        return "found", "found", ok and len(result.witness) == opt, ok
+        return "found", ok and len(result.witness) == opt, ok
 
-    return judge
+    return _judge(verdict)
 
 
 def _decision_judge(holds: Callable[..., bool]) -> Judge:
-    def judge(hidden, k, t, result, limits):
-        truth = "yes" if holds(hidden, k, t, limits) else "no"
-        answer = "yes" if result.answer else "no"
-        return answer, truth, answer == truth, None
+    def verdict(hidden, k, t, result, limits):
+        truth = holds(hidden, k, t, limits)
+        return "yes" if truth else "no", result.answer == truth, None
 
-    return judge
+    return _judge(verdict, "yes", "no")
 
 
 def _max_packing(hidden: Hypergraph, t: Optional[int], limits: SolverLimits) -> int:
@@ -191,20 +205,25 @@ _CUT_DECISION = _decision_judge(lambda h, k, t, limits: _max_cut(h, t, limits) >
 class AlgorithmSpec:
     """Everything the harness and the CLI know about one algorithm.
 
-    `function` names it in `qclab.algorithms`; `colors` names the
-    AlgorithmConstants field that `--colors-factor` sets; `exponent(d)` is
-    the k-exponent of the nominal query bound (log factors dropped), reported
-    next to fitted exponents in sweep summaries and never asserted.
+    `function` names it in `qclab.algorithms`; `reads` names the
+    AlgorithmConstants fields it reads, first `colors`, the one that
+    `--colors-factor` sets; `exponent(d)` is the k-exponent of the nominal
+    query bound (log factors dropped), reported next to fitted exponents in
+    sweep summaries and never asserted.
     """
 
     function: str
     kind: str  # the instance kind sweeps generate
     judge: Judge  # (hidden, k, t, result, limits) -> answer, truth, success, witness_valid
-    colors: str
+    reads: tuple[str, ...]
     exponent: Optional[Callable[[int], int]] = None
     graph_only: bool = False
     needs_t: bool = False
     seeded: bool = True
+
+    @property
+    def colors(self) -> str:
+        return self.reads[0]
 
     def run(self, session, k, t, seed, constants, limits) -> AlgorithmResult:
         fn = getattr(alg, self.function)  # looked up per call, so later wrappers apply
@@ -214,38 +233,40 @@ class AlgorithmSpec:
 
 
 _P, _H, _C = "planted-packing", "planted-hs", "planted-cut"
+_PACK = ("pack_gamma", "boost_c")  # the packing rounds, also phase 1 of the two-phase searches
+_VC, _HS = ("vc_colors_factor", "vc_rounds_factor"), ("hs_beta", "hs_alpha")
+_CUTS = ("cut_colors_factor", "boost_c")
 ALGORITHMS: dict[str, AlgorithmSpec] = {
-    "packing": AlgorithmSpec("packing", _P, _PACKING, "pack_gamma", lambda d: 2 * d),
+    "packing": AlgorithmSpec("packing", _P, _PACKING, _PACK, lambda d: 2 * d),
     "packing-deterministic": AlgorithmSpec(
-        "packing_deterministic", _P, _PACKING, "pack_gamma", seeded=False
+        "packing_deterministic", _P, _PACKING, ("pack_gamma",), seeded=False
     ),
     "matching-promised": AlgorithmSpec(
-        "matching_promised", _P, _MATCHING, "match_colors_factor", lambda d: 2, graph_only=True
+        "matching_promised", _P, _MATCHING, ("match_colors_factor", "match_rounds_factor"),
+        lambda d: 2, graph_only=True,
     ),
     "vc-promised": AlgorithmSpec(
-        "vc_promised", _H, _PROMISED_COVER, "vc_colors_factor", lambda d: 2, graph_only=True
+        "vc_promised", _H, _PROMISED_COVER, _VC, lambda d: 2, graph_only=True
     ),
     "vertex-cover": AlgorithmSpec(
-        "vertex_cover", _H, _COVER, "vc_colors_factor", lambda d: 4, graph_only=True
+        "vertex_cover", _H, _COVER, _VC + _PACK, lambda d: 4, graph_only=True
     ),
     "vc-decision": AlgorithmSpec(
-        "vc_decision", _H, _COVER_DECISION, "vc_decision_colors_factor", lambda d: 8,
-        graph_only=True,
+        "vc_decision", _H, _COVER_DECISION, ("vc_decision_colors_factor", "boost_c"),
+        lambda d: 8, graph_only=True,
     ),
-    "hs-promised": AlgorithmSpec("hs_promised", _H, _PROMISED_COVER, "hs_beta", lambda d: d),
-    "hitting-set": AlgorithmSpec("hitting_set", _H, _COVER, "hs_beta", lambda d: 2 * d),
+    "hs-promised": AlgorithmSpec("hs_promised", _H, _PROMISED_COVER, _HS, lambda d: d),
+    "hitting-set": AlgorithmSpec("hitting_set", _H, _COVER, _HS + _PACK, lambda d: 2 * d),
     "hs-decision": AlgorithmSpec(
-        "hs_decision", _H, _COVER_DECISION, "hs_decision_gamma", lambda d: 2 * d * d
+        "hs_decision", _H, _COVER_DECISION, ("hs_decision_gamma", "boost_c"),
+        lambda d: 2 * d * d,
     ),
-    "cut": AlgorithmSpec(
-        "cut", _C, _CUT, "cut_colors_factor", lambda d: 4, graph_only=True, needs_t=True
-    ),
+    "cut": AlgorithmSpec("cut", _C, _CUT, _CUTS, lambda d: 4, graph_only=True, needs_t=True),
     "cut-decision": AlgorithmSpec(
-        "cut_decision", _C, _CUT_DECISION, "cut_colors_factor", lambda d: 4, graph_only=True,
-        needs_t=True,
+        "cut_decision", _C, _CUT_DECISION, _CUTS, lambda d: 4, graph_only=True, needs_t=True
     ),
     "cut-deterministic": AlgorithmSpec(
-        "cut_deterministic", _C, _CUT, "cut_colors_factor", graph_only=True, needs_t=True,
+        "cut_deterministic", _C, _CUT, ("cut_colors_factor",), graph_only=True, needs_t=True,
         seeded=False,
     ),
 }
@@ -413,12 +434,16 @@ def run_sweep(config: SweepConfig) -> tuple[list[TrialReport], dict]:
         reports.extend(cell_reports)
         ok = [r for r in cell_reports if r.success is not None]
         queries = [r.bis + r.bise + r.gpis + r.gpise for r in ok]
-        causes = Counter(r.answer for r in cell_reports if r.success is None)
+        # a row whose ground truth tripped its budget keeps the algorithm's answer
+        causes = Counter(
+            f"truth:{r.truth}" if r.truth else r.answer for r in cell_reports if r.success is None
+        )
         algo, n, d, k, t, m, extra = cell
         cells[f"{algo}|n={n}|d={d}|k={k}|t={t}|m={m}|extra={extra}"] = {
             "algo": algo, "n": n, "d": d, "k": k, "t": t, "m": m, "extra": extra,
             "trials": len(cell_reports),
-            "errors": sum(causes.values()) - causes["infeasible"],
+            "errors": sum(causes.values()) - causes["infeasible"]
+            - causes["truth:budget-exceeded"],
             "infeasible": causes["infeasible"],
             "causes": dict(causes),
             "messages": sorted({message for _, message in trials if message is not None}),
@@ -510,22 +535,16 @@ def verify_instance(
         attempt("max_t_cut", lambda: max_t_cut(hidden, t, limits)[1])
     attempt("representative_family_size", lambda: len(representative_family(hidden, k, limits)))
     out["representative_family_bound"] = math.comb(k + hidden.d, hidden.d)
-    try:
-        report = classify_cores(hidden, k, limits)
-    except (BudgetExceeded, ValueError) as exc:
-        skipped = f"skipped:{exc}"
-        out["core_report"] = out["bound_edges_without_large_core"] = skipped
-        out["bound_minimal_large_cores"] = skipped
-        return out
-    out["core_report"] = report.to_json()
-    hs = out.get("min_hitting_set")
-    d = hidden.d
-    if isinstance(hs, list) and len(hs) <= k:
+    attempt("core_report", lambda: classify_cores(hidden, k, limits).to_json())
+    report, hs, d = out["core_report"], out["min_hitting_set"], hidden.d
+    if not isinstance(report, dict):
+        out["bound_edges_without_large_core"] = out["bound_minimal_large_cores"] = report
+    elif isinstance(hs, list) and len(hs) <= k:
         out["bound_edges_without_large_core"] = _bound(
-            len(report.edges_without_large_core), math.factorial(d) * (10 * d * k) ** d
+            len(report["edges_without_large_core"]), math.factorial(d) * (10 * d * k) ** d
         )
         out["bound_minimal_large_cores"] = _bound(
-            len(report.minimal_large_cores), math.factorial(d - 1) * k ** (d - 1)
+            len(report["minimal_large_cores"]), math.factorial(d - 1) * k ** (d - 1)
         )
     else:
         out["bound_edges_without_large_core"] = "hypothesis not met (hitting set > k)"

@@ -12,6 +12,11 @@ Relative to a parameter k, a core is "large" when its sunflower number
 exceeds 10*d*k and "significant" when it exceeds k (strict inequalities).
 classify_cores reports the large cores, the edges containing no large core,
 and the large cores with no significant proper sub-core.
+
+One pass over the edges groups the petals of every core. A core of d - 1
+vertices has distinct single-vertex petals, so its sunflower number is its
+petal count and no search runs (at d = 2, the degree). classify_cores and
+find_sunflower count all their packing searches against one budget.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .hypergraph import Edge, Hypergraph, require_integer
 from .solvers import DEFAULT_LIMITS, SolverLimits, _max_packing, _Search
@@ -76,19 +81,41 @@ class CoreReport:
         }
 
 
+def _subsets(e: tuple[int, ...], sizes) -> itertools.chain:
+    """The subsets of e of the given sizes, as sorted tuples when e is sorted."""
+    return itertools.chain.from_iterable(itertools.combinations(e, s) for s in sizes)
+
+
+def _petal_groups(h: Hypergraph, sizes) -> dict[tuple[int, ...], list[Edge]]:
+    """The petals of every core of the given sizes, in one pass over the edges.
+
+    Each core maps to the edges containing it with the core removed; cores
+    come smallest first, then lexicographically. Removing a common core keeps
+    canonical edge order, so every list of petals is sorted.
+    """
+    groups: dict[tuple[int, ...], list[Edge]] = {}
+    for e in h.edges:
+        for core in _subsets(e, sizes):
+            groups.setdefault(core, []).append(tuple(v for v in e if v not in core))
+    return dict(sorted(groups.items(), key=lambda item: (len(item[0]), item[0])))
+
+
+def _packing(petals: Sequence[Edge], search: _Search) -> Sequence[Edge]:
+    """A maximum packing of one core's petals. Single-vertex petals are
+    distinct vertices, so they all pack and no search runs."""
+    if petals and len(petals[0]) > 1:
+        return _max_packing(petals, search)
+    return petals
+
+
 def sunflower_number(
     h: Hypergraph, core: tuple[int, ...] | frozenset[int], limits: SolverLimits = DEFAULT_LIMITS
 ) -> int:
     """Largest t such that `core` is the core of a t-sunflower in h."""
-    if len(set(core)) >= h.d:
+    cs = tuple(sorted(set(core)))
+    if len(cs) >= h.d:
         raise ValueError("a core must be a proper subset of an edge")
-    return len(_max_packing(_petals(h, core), _Search(limits)))
-
-
-def _petals(h: Hypergraph, core: tuple[int, ...] | frozenset[int]) -> tuple[Edge, ...]:
-    """The edges of h that contain `core`, with the core removed, sorted."""
-    cs = frozenset(core)
-    return tuple(sorted(tuple(v for v in e if v not in cs) for e in h.edges if cs <= frozenset(e)))
+    return len(_packing(_petal_groups(h, (len(cs),)).get(cs, []), _Search(limits)))
 
 
 def candidate_cores(h: Hypergraph, include_empty: bool = False) -> list[tuple[int, ...]]:
@@ -97,11 +124,7 @@ def candidate_cores(h: Hypergraph, include_empty: bool = False) -> list[tuple[in
     Any core of a sunflower in h is a subset of each of its edges, so this
     list is exhaustive for sunflower search.
     """
-    cands: set[tuple[int, ...]] = set()
-    for e in h.edges:
-        for size in range(1, h.d):
-            cands.update(itertools.combinations(e, size))
-    out = sorted(cands, key=lambda c: (len(c), c))
+    out = list(_petal_groups(h, range(1, h.d)))
     if include_empty:
         out.insert(0, ())
     return out
@@ -110,19 +133,20 @@ def candidate_cores(h: Hypergraph, include_empty: bool = False) -> list[tuple[in
 def find_sunflower(
     h: Hypergraph, t: int, limits: SolverLimits = DEFAULT_LIMITS
 ) -> Optional[Sunflower]:
-    """A t-sunflower if one exists, searching all candidate cores.
+    """A t-sunflower if one exists, searching all candidate cores, smallest
+    first, under one budget for the whole call.
 
     Guaranteed to find one whenever the edge count exceeds d! * (t-1)^d.
     """
     require_integer("t", t, 1)
-    for core in candidate_cores(h, include_empty=True):
-        petals = _petals(h, core)
+    search = _Search(limits)
+    for core, petals in _petal_groups(h, range(h.d)).items():
         if len(petals) < t:
             continue
-        packing = _max_packing(petals, _Search(limits))
+        packing = _packing(petals, search)
         if len(packing) >= t:
             edges = tuple(sorted(tuple(sorted(core + p)) for p in packing[:t]))
-            return Sunflower(core=tuple(sorted(core)), edges=edges)
+            return Sunflower(core=core, edges=edges)
     return None
 
 
@@ -134,8 +158,9 @@ def erdos_rado_bound(d: int, t: int) -> int:
 
 
 def classify_cores(h: Hypergraph, k: int, limits: SolverLimits = DEFAULT_LIMITS) -> CoreReport:
-    """Compute sunflower numbers for every candidate core and apply the
-    large (>10dk) and significant (>k) thresholds.
+    """Compute sunflower numbers for every candidate core, under one budget
+    for the whole call, and apply the large (>10dk) and significant (>k)
+    thresholds.
 
     The significant-subcore test for minimal large cores considers non-empty
     proper subsets only: a large core is always significant itself, and on
@@ -144,41 +169,16 @@ def classify_cores(h: Hypergraph, k: int, limits: SolverLimits = DEFAULT_LIMITS)
     require_integer("k", k, 0)
     d = h.d
     threshold = 10 * d * k
+    search = _Search(limits)
     infos: list[CoreInfo] = []
-    number: dict[tuple[int, ...], int] = {}
-    if d == 2:
-        # cores are singletons and the sunflower number is the degree
-        deg = h.degrees()
-        for core in candidate_cores(h):
-            number[core] = deg[core[0]]
-    else:
-        for core in candidate_cores(h):
-            number[core] = sunflower_number(h, core, limits)
-    for core, num in number.items():
-        infos.append(
-            CoreInfo(core=core, number=num, large=num > threshold, significant=num > k)
-        )
+    for core, petals in _petal_groups(h, range(1, d)).items():
+        num = len(_packing(petals, search))
+        infos.append(CoreInfo(core=core, number=num, large=num > threshold, significant=num > k))
     large = tuple(c.core for c in infos if c.large)
-    large_set = {frozenset(c) for c in large}
-    significant_set = {frozenset(c.core) for c in infos if c.significant}
-    no_large = tuple(
-        e
-        for e in h.edges
-        if not any(
-            frozenset(sub) in large_set
-            for size in range(1, d)
-            for sub in itertools.combinations(e, size)
-        )
-    )
-    minimal = tuple(
-        c
-        for c in large
-        if not any(
-            frozenset(sub) in significant_set
-            for size in range(1, len(c))
-            for sub in itertools.combinations(c, size)
-        )
-    )
+    large_set = set(large)
+    significant = {c.core for c in infos if c.significant}
+    no_large = tuple(e for e in h.edges if large_set.isdisjoint(_subsets(e, range(1, d))))
+    minimal = tuple(c for c in large if significant.isdisjoint(_subsets(c, range(1, len(c)))))
     return CoreReport(
         k=k,
         d=d,

@@ -13,6 +13,7 @@ from qclab.coloring import classes
 from qclab.hypergraph import Hypergraph, PlantedTruth
 from qclab.rng import rng_from
 from qclab.sampler import QuotientInstance, SampledSubgraph
+from qclab.sunflowers import CoreInfo, CoreReport, Sunflower
 
 
 def brute_min_cover(h: Hypergraph) -> tuple[int, ...]:
@@ -391,3 +392,85 @@ def recursive_max_t_cut(g: Hypergraph, t: int):
     for v, i in pos.items():
         parts[v] = best[1][i]
     return tuple(parts), best[0], nodes
+
+
+# -- sunflowers, one edge scan per candidate core ------------------------------
+
+
+def rescan_petals(h: Hypergraph, core) -> tuple[tuple[int, ...], ...]:
+    """The edges of h that contain `core`, with the core removed, sorted."""
+    cs = frozenset(core)
+    return tuple(sorted(tuple(v for v in e if v not in cs) for e in h.edges if cs <= frozenset(e)))
+
+
+def rescan_candidate_cores(h: Hypergraph, include_empty: bool = False) -> list[tuple[int, ...]]:
+    """Non-empty proper subsets of edges, by size then lexicographically,
+    after the empty core when `include_empty`."""
+    cands: set[tuple[int, ...]] = set()
+    for e in h.edges:
+        for size in range(1, h.d):
+            cands.update(itertools.combinations(e, size))
+    out = sorted(cands, key=lambda c: (len(c), c))
+    if include_empty:
+        out.insert(0, ())
+    return out
+
+
+def rescan_find_sunflower(h: Hypergraph, t: int):
+    """The first t-sunflower over the candidate cores, empty core first, each
+    core's petals packed by the frozenset packing search."""
+    for core in rescan_candidate_cores(h, include_empty=True):
+        petals = rescan_petals(h, core)
+        if len(petals) < t:
+            continue
+        packing, _ = frozenset_max_packing(petals)
+        if len(packing) >= t:
+            edges = tuple(sorted(tuple(sorted(core + p)) for p in packing[:t]))
+            return Sunflower(core=tuple(sorted(core)), edges=edges)
+    return None
+
+
+def rescan_classify_cores(h: Hypergraph, k: int) -> CoreReport:
+    """Sunflower numbers of every candidate core (the degree at d = 2, a
+    petal packing otherwise) with the large (> 10dk) and significant (> k)
+    thresholds, the edges holding no large core, and the large cores with no
+    significant non-empty proper sub-core."""
+    d = h.d
+    threshold = 10 * d * k
+    number: dict[tuple[int, ...], int] = {}
+    if d == 2:
+        deg = h.degrees()
+        for core in rescan_candidate_cores(h):
+            number[core] = deg[core[0]]
+    else:
+        for core in rescan_candidate_cores(h):
+            number[core] = len(frozenset_max_packing(rescan_petals(h, core))[0])
+    infos = [
+        CoreInfo(core=core, number=num, large=num > threshold, significant=num > k)
+        for core, num in number.items()
+    ]
+    large = tuple(c.core for c in infos if c.large)
+    large_set = {frozenset(c) for c in large}
+    significant_set = {frozenset(c.core) for c in infos if c.significant}
+    no_large = tuple(
+        e
+        for e in h.edges
+        if not any(
+            frozenset(sub) in large_set
+            for size in range(1, d)
+            for sub in itertools.combinations(e, size)
+        )
+    )
+    minimal = tuple(
+        c
+        for c in large
+        if not any(
+            frozenset(sub) in significant_set
+            for size in range(1, len(c))
+            for sub in itertools.combinations(c, size)
+        )
+    )
+    return CoreReport(
+        k=k, d=d, large_threshold=threshold, cores=tuple(infos), large_cores=large,
+        edges_without_large_core=no_large, minimal_large_cores=minimal,
+    )

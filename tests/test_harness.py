@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import qclab.harness
+from qclab.algorithms import AlgorithmConstants
 from qclab.cli import main as cli_main
 from qclab.harness import (
     CSV_HEADER,
@@ -24,7 +26,7 @@ from qclab.hypergraph import (
     parse_hypergraph,
     save_hypergraph,
 )
-from qclab.solvers import SolverLimits, min_vertex_cover
+from qclab.solvers import BudgetExceeded, SolverLimits, min_vertex_cover
 
 
 def test_run_trial_hitting_set_success():
@@ -460,6 +462,51 @@ def test_sweep_summary_counts_each_cause_of_a_missing_verdict(monkeypatch):
     assert cell["messages"] == [
         "error:BudgetExceeded: truth out of budget", "error:ValueError: algorithm broke"
     ]
+
+
+def test_ground_truth_budget_trip_keeps_the_algorithms_answer_and_queries():
+    # the 4-color quotients fit 1,000 search nodes; the max 2-cut of the 40
+    # hidden edges over 30 vertices does not
+    h, _ = generate_instance("planted-cut", n=30, d=2, k=40, seed=1, t=2)
+    report, result = run_trial(
+        "cut-decision", h, 2, t=2, constants=AlgorithmConstants(cut_colors_factor=1),
+        limits=SolverLimits(max_branch_nodes=1000),
+    )
+    assert (report.answer, report.truth) == ("yes", "budget-exceeded")
+    assert report.success is None and report.witness_valid is None
+    assert result.answer and report.bis == result.stats.bis > 0
+
+
+def _tripping_truth(monkeypatch):
+    """Make every ground-truth max t-cut trip its budget; the algorithms'
+    own cut solves are untouched."""
+
+    def trip(*args, **kwargs):
+        raise BudgetExceeded("truth out of budget")
+
+    monkeypatch.setattr(qclab.harness, "max_t_cut", trip)
+
+
+def test_sweep_counts_ground_truth_trips_apart_from_errors(monkeypatch):
+    _tripping_truth(monkeypatch)
+    reports, summary = run_sweep(
+        SweepConfig(algorithms=["cut-decision"], n=[12], k=[2], trials=2)
+    )
+    assert [(r.truth, r.success) for r in reports] == [("budget-exceeded", None)] * 2
+    assert all(r.answer in ("yes", "no") and r.bis > 0 for r in reports)
+    (cell,) = summary["cells"].values()
+    assert cell["causes"] == {"truth:budget-exceeded": 2}
+    assert (cell["errors"], cell["messages"]) == (0, [])
+
+
+def test_cli_run_exits_2_when_ground_truth_trips(monkeypatch, tmp_path, capsys):
+    inst = tmp_path / "c.hg"
+    cli_main(["gen", "planted-cut", "--n", "12", "--t", "2", "--k", "3", "--seed", "1",
+              "-o", str(inst)])
+    capsys.readouterr()
+    _tripping_truth(monkeypatch)
+    assert cli_main(["run", "cut-decision", str(inst), "--k", "2", "--t", "2"]) == 2
+    assert json.loads(capsys.readouterr().out)["truth"] == "budget-exceeded"
 
 
 def test_sweep_summarizes_cells_that_differ_only_in_m_or_extra_apart():

@@ -9,6 +9,7 @@ folded into one driver and one registry.
 """
 
 import argparse
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 import qclab
 from qclab.algorithms import AlgorithmConstants
 from qclab.cli import build_parser
+from qclab.cli import main as cli_main
 from qclab.harness import ALGORITHMS, generate_instance, run_trial
 from qclab.oracle import EdgeSelectionPolicy
 
@@ -143,3 +145,55 @@ def test_readme_names_each_colors_factor_constant():
     for cells in _readme_rows():
         algo = re.search(r"`([a-z-]+)`", cells[0]).group(1)
         assert re.search(r"`([a-z_]+)`", cells[-1]).group(1) == ALGORITHMS[algo].colors
+
+
+FIELDS = frozenset(f.name for f in dataclasses.fields(AlgorithmConstants))
+READ: set[str] = set()
+
+
+class RecordingConstants(AlgorithmConstants):
+    """Notes in READ every constant field that is read."""
+
+    def __getattribute__(self, name):
+        if name in FIELDS:
+            READ.add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("policy", ["lex", "random"])
+@pytest.mark.parametrize("algo", list(CASES))
+def test_entry_names_exactly_the_constants_its_algorithm_reads(algo, policy):
+    (kind, kw), k, t = CASES[algo]
+    hidden, _ = generate_instance(kind, seed=11, **kw)
+    constants = RecordingConstants(**{name: getattr(SMALL, name) for name in FIELDS})
+    READ.clear()  # construction checks every field
+    run_trial(algo, hidden, k, t=t, seed=3, constants=constants,
+              policy=EdgeSelectionPolicy(policy))
+    spec = ALGORITHMS[algo]
+    assert READ == set(spec.reads)
+    assert spec.colors == spec.reads[0]
+
+
+def _flag_constants(algo):
+    gamma = "hs_decision_gamma" if algo == "hs-decision" else "pack_gamma"
+    return {"--boost-c": "boost_c", "--gamma": gamma, "--alpha": "hs_alpha", "--beta": "hs_beta"}
+
+
+UNREAD_FLAGS = [
+    (algo, flag) for algo in CASES for flag, name in _flag_constants(algo).items()
+    if name not in ALGORITHMS[algo].reads
+]
+
+
+@pytest.mark.parametrize("algo,flag", UNREAD_FLAGS)
+def test_cli_rejects_a_constant_flag_the_algorithm_does_not_read(algo, flag, tmp_path, capsys):
+    (kind, kw), k, t = CASES[algo]
+    hidden, _ = generate_instance(kind, seed=11, **kw)
+    inst, log = tmp_path / "i.hg", tmp_path / "q.log"
+    qclab.save_hypergraph(hidden, str(inst))
+    argv = ["run", algo, str(inst), "--k", str(k), "--log-queries", str(log), flag, "3"]
+    assert cli_main(argv + (["--t", str(t)] if t else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} sets {_flag_constants(algo)[flag]}, ")
+    assert not log.exists()

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qclab.hypergraph import gen_gnp, gen_planted_hitting_set, new_hypergraph, union
 from qclab.oracle import OracleSession
 from qclab.rng import rng_from
 from qclab.sampler import sample_union
-from qclab.solvers import min_hitting_set
+from qclab.solvers import BudgetExceeded, SolverLimits, min_hitting_set
 from qclab.sunflowers import (
     candidate_cores,
     classify_cores,
@@ -17,7 +19,12 @@ from qclab.sunflowers import (
     sunflower_number,
 )
 
-from reference import brute_max_disjoint_sets
+from reference import (
+    brute_max_disjoint_sets,
+    rescan_candidate_cores,
+    rescan_classify_cores,
+    rescan_find_sunflower,
+)
 
 
 def test_sunflower_number_star():
@@ -183,3 +190,51 @@ def test_erdos_rado_bound_rejects_t_below_one():
     with pytest.raises(ValueError, match="t must be positive"):
         erdos_rado_bound(3, 0)
     assert erdos_rado_bound(3, 1) == 0
+
+
+@st.composite
+def uniform_hypergraphs(draw):
+    """d = 2-4 over at most 9 vertices, possibly with no edges."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d, 9))
+    subsets = list(itertools.combinations(range(n), d))
+    edges = draw(st.lists(st.sampled_from(subsets), max_size=18, unique=True))
+    return new_hypergraph(n, d, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uniform_hypergraphs(), st.integers(0, 3))
+@example(new_hypergraph(6, 4, []), 1)
+def test_cores_and_sunflowers_match_one_edge_scan_per_core(h, k):
+    assert candidate_cores(h, include_empty=True) == rescan_candidate_cores(h, include_empty=True)
+    assert classify_cores(h, k).to_json() == rescan_classify_cores(h, k).to_json()
+    for t in range(1, h.m + 2):
+        assert find_sunflower(h, t) == rescan_find_sunflower(h, t)
+
+
+def test_classify_cores_budget_bounds_the_whole_call():
+    # every core's own packing search fits 400 nodes; the 121 searches together do not
+    h = new_hypergraph(121, 3, [(0, 2 * i + 1, 2 * i + 2) for i in range(60)])
+    with pytest.raises(BudgetExceeded):
+        classify_cores(h, 1, SolverLimits(max_branch_nodes=400))
+    assert (0,) in classify_cores(h, 1).large_cores
+
+
+def test_find_sunflower_budget_bounds_the_whole_call():
+    # two disjoint copies of all 35 triples on 7 vertices hold no 6-sunflower;
+    # each of the 15 cores with 6 or more petals packs them in at most 9
+    # nodes, 107 in all
+    h = new_hypergraph(14, 3, [
+        tuple(7 * c + v for v in e) for c in range(2) for e in itertools.combinations(range(7), 3)
+    ])
+    with pytest.raises(BudgetExceeded):
+        find_sunflower(h, 6, SolverLimits(max_branch_nodes=50))
+    assert find_sunflower(h, 6) is None
+
+
+def test_single_vertex_petals_need_no_search():
+    # a core of d - 1 vertices: its petals are distinct vertices and all pack
+    h = new_hypergraph(8, 3, [(0, 1, v) for v in range(2, 8)])
+    assert sunflower_number(h, (1, 0), SolverLimits(max_branch_nodes=0)) == 6
+    g = new_hypergraph(8, 2, [(0, v) for v in range(1, 8)])
+    assert classify_cores(g, 0, SolverLimits(max_branch_nodes=0)).cores[0].number == 7
