@@ -139,15 +139,18 @@ class AlgorithmResult:
 
 
 def _check_args(
-    session: OracleSession, k: int, graph: str = "", t: int | None = None, k_min: int = 1
-) -> None:
+    session: OracleSession, k: int, graph: str = "", k_min: int = 1, **t: int
+) -> tuple[int, ...]:
     """Reject invalid arguments before any query runs; `graph` names the
-    problem when it needs d=2."""
-    if t is not None:
-        require_integer("t", t, 2)
+    problem when it needs d=2. Returns k, then t where the function takes
+    one, as Python ints: numpy integers lack `bit_length` and wrap in the
+    color counts."""
+    for name, value in t.items():
+        require_integer(name, value, 2)
     require_integer("k", k, k_min)
     if graph and session.d != 2:
         raise ValueError(f"{graph} needs a graph (d=2)")
+    return int(k), *map(int, t.values())
 
 
 def _result(
@@ -291,7 +294,7 @@ def packing(
     sub-hypergraph through the witness oracle, and solves it exactly; the
     best packing over boost_c*log k rounds is kept.
     """
-    _check_args(session, k)
+    (k,) = _check_args(session, k)
     b = constants.pack_gamma_for(session.d) * k * k
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
     return _best(session, k, colorings, _packing_round(limits), constants)
@@ -310,7 +313,7 @@ def packing_deterministic(
     probability. Costs a factor of the family size (about max(n, colors))
     more queries than one randomized round.
     """
-    _check_args(session, k)
+    (k,) = _check_args(session, k)
     s = session.d * k
     range_b = max(constants.pack_gamma_for(session.d) * k * k, 4 * s * s)
     family = perfect_family(session.n, s, range_b)
@@ -325,7 +328,7 @@ def matching_promised(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> AlgorithmResult:
     """Maximum matching under the promise that it has at most k edges."""
-    _check_args(session, k, graph="matching")
+    (k,) = _check_args(session, k, graph="matching")
     b = constants.match_colors_factor * k
     t = constants.match_rounds_factor * log_k(k)
     return _promised(session, b, t, seed, max_matching, _check_packing, constants, limits)
@@ -348,7 +351,7 @@ def vc_promised(
     probability, a minimum cover of the hidden graph. The promise itself is
     not checked.
     """
-    _check_args(session, k, graph="vertex cover")
+    (k,) = _check_args(session, k, graph="vertex cover")
     b = constants.vc_colors_factor * k
     t = constants.vc_rounds_factor * log_k(k)
     return _promised(session, b, t, seed, min_vertex_cover, _check_cover, constants, limits)
@@ -366,7 +369,7 @@ def vertex_cover(
     A matching of k+1 disjoint edges certifies that no k-cover exists;
     otherwise the cover is at most 2k and the promised algorithm finishes.
     """
-    _check_args(session, k, graph="vertex cover")
+    (k,) = _check_args(session, k, graph="vertex cover")
     return _two_phase(session, k, seed, vc_promised, 2 * k, constants, limits)
 
 
@@ -384,7 +387,7 @@ def vc_decision(
     quotient graph, and votes on whether some k vertices cover it; the
     majority wins (ties resolve to "no").
     """
-    _check_args(session, k, graph="vertex cover", k_min=0)
+    (k,) = _check_args(session, k, graph="vertex cover", k_min=0)
     b = constants.vc_decision_colors_factor * max(k, 1) ** 4
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
     return _vote(session, k, colorings, constants, limits)
@@ -407,7 +410,7 @@ def hs_promised(
     minimal large core significant, which is exactly what makes its minimum
     hitting set transfer back to the hidden instance.
     """
-    _check_args(session, k)
+    (k,) = _check_args(session, k)
     b = constants.hs_beta_for(session.d) * k
     t = constants.hs_alpha_for(session.d) * log_k(k)
     return _promised(session, b, t, seed, min_hitting_set, _check_cover, constants, limits)
@@ -426,7 +429,7 @@ def hitting_set(
     otherwise the optimum is at most d*k and the promised algorithm runs
     with that bound.
     """
-    _check_args(session, k)
+    (k,) = _check_args(session, k)
     return _two_phase(session, k, seed, hs_promised, session.d * k, constants, limits)
 
 
@@ -440,7 +443,7 @@ def hs_decision(
     """Decide whether a hitting set of size at most k exists, via existence
     queries on class quotients at gamma*k^(2d) colors (k=0 colors as k=1)
     and a majority vote on "some k vertices hit it" (ties resolve to "no")."""
-    _check_args(session, k, k_min=0)
+    (k,) = _check_args(session, k, k_min=0)
     b = constants.hs_decision_gamma_for(session.d) * max(k, 1) ** (2 * session.d)
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
     return _vote(session, k, colorings, constants, limits)
@@ -464,7 +467,7 @@ def cut(
     k on sampled edges achieves at least k on the hidden graph, so the first
     round reaching k settles the answer (the best round is reported).
     """
-    _check_args(session, k, graph="cut", t=t)
+    k, t = _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
     return _best(session, k, colorings, _cut_round(t, limits), constants)
@@ -508,7 +511,7 @@ def cut_decision(
     partition cutting k quotient edges lifts to a hidden cut of at least k,
     so the answer is yes exactly when some round's quotient reaches k.
     """
-    _check_args(session, k, graph="cut", t=t)
+    k, t = _check_args(session, k, graph="cut", t=t)
     b = constants.cut_colors_factor * k * k
     colorings = _random_colorings(session.n, b, constants.boost_c * log_k(k), seed)
     return _best(session, k, colorings, lambda q, c: (max_t_cut(q.graph, t, limits)[1], None),
@@ -526,7 +529,7 @@ def cut_deterministic(
 
     Some member colors the 2k endpoints of any fixed k-edge cut injectively,
     so the best class-level cut over the family is exact."""
-    _check_args(session, k, graph="cut", t=t)
+    k, t = _check_args(session, k, graph="cut", t=t)
     s = 2 * k
     range_b = max(constants.cut_colors_factor * k * k, 4 * s * s)
     family = perfect_family(session.n, s, range_b)

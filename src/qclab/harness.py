@@ -152,18 +152,6 @@ def _search_judge(optimum: Optimum, reaches, valid, exact: bool = False) -> Judg
     return _judge(verdict)
 
 
-def _promised_judge(optimum: Optimum, valid) -> Judge:
-    """Promised variants always report a witness; success means it is a
-    valid structure of exactly the hidden optimum's size."""
-
-    def verdict(hidden, k, t, result, limits):
-        opt = optimum(hidden, t, limits)
-        ok = valid(result.witness, hidden)
-        return "found", ok and len(result.witness) == opt, ok
-
-    return _judge(verdict)
-
-
 def _decision_judge(holds: Callable[..., bool]) -> Judge:
     def verdict(hidden, k, t, result, limits):
         truth = holds(hidden, k, t, limits)
@@ -189,8 +177,14 @@ def _max_cut(hidden: Hypergraph, t: Optional[int], limits: SolverLimits) -> int:
 
 
 _PACKING = _search_judge(_max_packing, operator.ge, lambda w, h, k, t: is_packing(w, h))
-_MATCHING = _promised_judge(_max_matching, is_packing)
-_PROMISED_COVER = _promised_judge(_min_cover, hits_every_edge)
+# promised variants always answer found, so their truth reads found and success
+# needs a valid witness of exactly the hidden optimum's size
+_MATCHING = _search_judge(
+    _max_matching, lambda opt, k: True, lambda w, h, k, t: is_packing(w, h), exact=True
+)
+_PROMISED_COVER = _search_judge(
+    _min_cover, lambda opt, k: True, lambda w, h, k, t: hits_every_edge(w, h), exact=True
+)
 _COVER = _search_judge(
     _min_cover, operator.le, lambda w, h, k, t: hits_every_edge(w, h) and len(w) <= k, exact=True
 )
@@ -316,6 +310,8 @@ def run_trial(
             result = None
         elapsed = int((time.monotonic() - start) * 1000)
         stats = session.stats()
+    # the algorithm accepted k and t; judge and report them as Python ints
+    k, t = int(k), None if t is None else int(t)
     if result is None:
         answer, truth, success, witness_valid = "budget-exceeded", "", None, None
     else:

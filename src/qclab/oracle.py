@@ -14,15 +14,15 @@ its vertices can be matched one-to-one onto the parts; because parts are
 disjoint each vertex lies in at most one part, so the matching test reduces
 to "the d vertices cover all d parts exactly once".
 
-``ask_all(witness, sets)`` asks one query per d-tuple of q disjoint sets (a
-coloring's classes) at once. Every edge qualifies for at most one tuple, the
-tuple of the classes its vertices lie in, so a single numpy pass over the
-edge matrix answers all C(q, d) of them. That pass takes label rows: each
-vertex's class index, or -1 for a vertex in no set. The four endpoints and
-``ask_all`` are one row; ``ask_colorings(witness, colorings)`` turns
-colorings into rows and evaluates them lazily in blocks, and
-``ask_coloring`` is its one-row view. Counters, witnesses, random-policy call
-indices and log lines are the same however the queries are grouped.
+These four endpoints and ``ask_colorings(witness, colorings)`` are the whole
+query surface. ``ask_colorings`` asks one query per d-tuple of each
+coloring's non-empty classes. Every edge qualifies for at most one tuple,
+the tuple of the classes its vertices lie in, so one numpy pass over the
+edge matrix answers all C(q, d) queries of q classes. That pass takes label
+rows (each vertex's class index, or -1 for none): an endpoint's d parts are
+one row with one tuple, and ``ask_colorings`` evaluates its rows lazily in
+blocks. Counters, witnesses, random-policy call indices and log lines are
+the same however the queries are grouped.
 
 Which qualifying edge a witness query returns is a policy: ``LEXICOGRAPHIC``
 (the globally smallest in canonical order, the reproducible default) or
@@ -135,25 +135,14 @@ class OracleSession:
     def gpise(self, parts: Sequence[Iterable[int]]) -> Optional[Edge]:
         return self._ask(3, parts, self._d)
 
-    def ask_all(self, witness: bool, sets: Sequence[Iterable[int]]) -> dict:
-        """One query per d-tuple of the pairwise-disjoint `sets`, in
-        itertools.combinations order: witness queries (bise, or gpise when
-        d > 2) or existence queries (bis / gpis). Costs C(len(sets), d) on
-        that kind's counter. Returns the non-empty answers keyed by the
-        tuple of set indices: the witness edge, or True."""
-        return self._as_dict(witness, *self._run(self._kind(witness), self._set_labels(sets))[1:])
-
-    def ask_coloring(self, witness: bool, color: Sequence[int]) -> dict:
-        """`ask_all` over the non-empty classes of `color` (one integer color
-        per vertex), classes in ascending color order."""
-        _, tuples, picks = next(self.ask_colorings(witness, [color]))
-        return self._as_dict(witness, tuples, picks)
-
     def ask_colorings(self, witness: bool, colorings: Iterable[Sequence[int]]) -> Iterator[tuple]:
-        """`ask_coloring`'s queries for each coloring in turn, evaluated in
-        blocks of bounded size when the block's first row is taken. Yields per
-        coloring its label row, its answered class tuples (combinations order)
-        and the indices of the answering edges (see `witnesses`)."""
+        """One query of the witness kind (bise, or gpise when d > 2) or the
+        existence kind (bis / gpis) per d-tuple of each coloring's non-empty
+        classes, in ascending color order; a coloring gives every vertex an
+        integer. Colorings are asked in turn, in blocks of bounded size
+        evaluated when their first row is taken. Yields per coloring its label
+        row, its answered class tuples (combinations order) and the indices of
+        the answering edges (see `witnesses`)."""
         kind = self._kind(witness)
         rows = max(1, _BLOCK_ELEMENTS // max(self._n, self._edge_mat.size))
         colorings = iter(colorings)
@@ -184,8 +173,11 @@ class OracleSession:
             raise ValueError(f"{_KINDS[kind]} requires a hidden graph (d=2), have d={self._d}")
         if len(parts) != d:
             raise ValueError(f"expected {d} parts, got {len(parts)}")
-        answers = self._as_dict(kind & 1, *self._run(kind, self._set_labels(parts))[1:])
-        return answers.get(tuple(range(d)), None if kind & 1 else False)
+        # d non-empty parts make one class tuple, (0, ..., d-1): at most one pick
+        picks = self._run(kind, self._set_labels(parts))[2].tolist()
+        if kind & 1:
+            return self._hidden.edges[picks[0]] if picks else None
+        return bool(picks)
 
     def _set_labels(self, sets: Sequence[Iterable[int]]) -> np.ndarray:
         """The label row of `sets` (see `_run`), rejecting malformed sets
@@ -205,13 +197,6 @@ class OracleSession:
             if empty:
                 raise ValueError("parts must be non-empty")
         return np.array([row], dtype=np.int32)
-
-    def _as_dict(self, witness: bool, tuples: np.ndarray, picks: np.ndarray) -> dict:
-        """Non-empty answers of one row, keyed by class tuple."""
-        keys = map(tuple, tuples.tolist())
-        if not witness:
-            return dict.fromkeys(keys, True)
-        return dict(zip(keys, self.witnesses(picks.tolist())))
 
     def _run(self, kind: int, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one evaluation path. Each row of `labels` (t, n) gives every

@@ -275,14 +275,26 @@ def greedy_bound_min_hs(edges):
     return tuple(chosen), nodes
 
 
+def ask_one(session, witness, parts):
+    """One query through the endpoint for the session's arity: bise / bis on
+    graphs, gpise / gpis otherwise."""
+    if session.d == 2:
+        return (session.bise if witness else session.bis)(*parts)
+    return (session.gpise if witness else session.gpis)(parts)
+
+
 def one_coloring_rounds(session, colorings, solve, existence=False):
-    """The round driver asked one coloring at a time: each coloring's queries
-    go through `ask_all` over its classes, and its sample (the witness edges
-    on the original vertices) or class quotient is built from the answers
-    before `solve` sees it."""
+    """The round driver asked one query at a time: each coloring's class
+    tuples go through the endpoints in itertools.combinations order, and its
+    sample (the witness edges on the original vertices) or class quotient is
+    built from the answers before `solve` sees it."""
     for c in colorings:
         sets = classes(c).vertex_sets()
-        answers = session.ask_all(not existence, sets)
+        answers = {}
+        for t in itertools.combinations(range(len(sets)), session.d):
+            answer = ask_one(session, not existence, [sets[i] for i in t])
+            if answer:
+                answers[t] = answer
         if existence:
             class_of = {v: i for i, vs in enumerate(sets) for v in vs}
             graph = Hypergraph(n=len(sets), d=session.d, edges=tuple(sorted(answers)))

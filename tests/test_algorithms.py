@@ -1,5 +1,7 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from qclab.hypergraph import (
     gen_planted_packing,
     new_hypergraph,
 )
-from qclab.oracle import EdgeSelectionPolicy, OracleSession
+from qclab.oracle import EdgeSelectionPolicy, OracleSession, QueryStats
 from qclab.sampler import sample_subhypergraph
 from qclab.solvers import (
     DEFAULT_LIMITS,
@@ -113,6 +115,29 @@ def test_k_and_t_reject_non_integers_before_any_query(value):
         run_trial("packing", h, value)
     with pytest.raises(ValueError, match="t must be an integer"):
         run_trial("cut", h, 1, t=value)
+
+
+@pytest.mark.parametrize("fn", [cut, cut_decision, cut_deterministic])
+def test_cut_functions_reject_a_missing_t_before_any_query(fn):
+    s = fresh(gen_planted_cut(10, 2, 4, seed=1)[0])
+    with pytest.raises(ValueError, match="t must be an integer"):
+        fn(s, None, 3)
+    assert s.stats() == QueryStats()
+
+
+def test_a_numpy_k_does_not_wrap_the_color_count():
+    # vc-decision colors at 100 * k^4: 10^22 at k = 100,000, past the int64 range
+    seen = []
+
+    def record(n, b, rounds, seed):
+        seen.append(b)
+        return []
+
+    s = fresh(new_hypergraph(6, 2, [(0, 1), (2, 3)]))
+    with mock.patch("qclab.algorithms._random_colorings", record):
+        for k in (100_000, np.int64(100_000)):
+            vc_decision(s, k)
+    assert seen == [10**22, 10**22]
 
 
 

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclab.coloring import HashColoring, classes
 from qclab.hypergraph import gen_gnp, new_hypergraph
 from qclab.oracle import EdgeSelectionPolicy, OracleSession, QueryStats, _rank
 
-from reference import brute_crossing_edge_exists, brute_qualifying_edges, random_disjoint_parts
+from reference import (
+    ask_one,
+    brute_crossing_edge_exists,
+    brute_qualifying_edges,
+    random_disjoint_parts,
+)
 
 
 def session_for(edges, n=6, d=2, **kw):
@@ -211,11 +215,11 @@ def test_non_integer_vertex_ids_rejected_before_counting():
         with pytest.raises(ValueError):
             s.gpis(parts)
         with pytest.raises(ValueError):
-            s.ask_all(False, parts)
+            s.gpise(parts)
     assert s.stats() == QueryStats()
     assert s.gpis([[np.int64(0)], [np.int32(1)], [2]]) is True
-    assert s.ask_all(True, [np.array([0, 1]), [2]]) == {}
-    assert s.stats() == QueryStats(gpis=1)
+    assert s.gpise([np.array([0]), [1], np.array([2])]) == (0, 1, 2)
+    assert s.stats() == QueryStats(gpis=1, gpise=1)
 
 
 @st.composite
@@ -225,40 +229,42 @@ def _colored_instances(draw):
     all_edges = list(itertools.combinations(range(n), d))
     edges = draw(st.lists(st.sampled_from(all_edges), unique=True) if all_edges else st.just([]))
     b = draw(st.integers(1, n + 2))  # b < n makes classes collide
-    color = draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
-    sets = classes(HashColoring(n=n, b=b, color=tuple(color))).vertex_sets()
-    return new_hypergraph(n, d, edges), sets, draw(st.integers(0, 2**64 - 1))
+    color = st.lists(st.integers(-3, b - 1), min_size=n, max_size=n)
+    block = draw(st.lists(color, min_size=1, max_size=3))
+    return new_hypergraph(n, d, edges), block, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_colored_instances())
-def test_ask_all_equals_asking_tuples_one_by_one(instance):
-    h, sets, policy_seed = instance
-    q, d = len(sets), h.d
-    combos = list(itertools.combinations(range(q), d))
-    assert [_rank(t, q) for t in combos] == list(range(len(combos)))
+def test_ask_colorings_equals_asking_tuples_one_by_one(instance):
+    h, block, policy_seed = instance
     with tempfile.TemporaryDirectory() as tmp:
         for policy in EdgeSelectionPolicy:
             batched = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/batched.log")
             single = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/single.log")
-            for witness in (True, False, True):  # a second pass starts at a later call index
-                got = batched.ask_all(witness, sets)
-                expect = {}
-                for t in combos:
-                    parts = [sets[i] for i in t]
-                    if d == 2:
-                        answer = (single.bise if witness else single.bis)(*parts)
-                    else:
-                        answer = (single.gpise if witness else single.gpis)(parts)
-                    if answer:
-                        expect[t] = answer
-                    valid = brute_qualifying_edges(h, parts)
-                    assert (t in got) == bool(valid)
-                    if witness and valid:
-                        assert got[t] in valid
-                        if policy is EdgeSelectionPolicy.LEXICOGRAPHIC:
-                            assert got[t] == valid[0]
-                assert got == expect
+            for witness in (True, False, True):  # a later pass starts at a later call index
+                rows = batched.ask_colorings(witness, [np.array(c, dtype=np.int8) for c in block])
+                for color, (labels, tuples, picks) in zip(block, rows, strict=True):
+                    palette = sorted(set(color))  # classes in ascending color order
+                    assert labels.tolist() == [palette.index(c) for c in color]
+                    sets = [[v for v, c in enumerate(color) if c == col] for col in palette]
+                    combos = list(itertools.combinations(range(len(sets)), h.d))
+                    assert [_rank(t, len(sets)) for t in combos] == list(range(len(combos)))
+                    answers = batched.witnesses(picks.tolist()) if witness else [True] * len(picks)
+                    got = dict(zip(map(tuple, tuples.tolist()), answers))
+                    expect = {}
+                    for t in combos:
+                        parts = [sets[i] for i in t]
+                        answer = ask_one(single, witness, parts)
+                        if answer:
+                            expect[t] = answer
+                        valid = brute_qualifying_edges(h, parts)
+                        assert bool(answer) == bool(valid)
+                        if witness and valid:
+                            assert answer in valid
+                            if policy is EdgeSelectionPolicy.LEXICOGRAPHIC:
+                                assert answer == valid[0]
+                    assert got == expect
                 assert batched.stats() == single.stats()
             batched.close()
             single.close()
@@ -266,41 +272,42 @@ def test_ask_all_equals_asking_tuples_one_by_one(instance):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_colored_instances(), st.data())
-def test_ask_coloring_equals_ask_all_on_the_classes(instance, data):
-    h, _, policy_seed = instance
-    b = data.draw(st.integers(1, h.n + 2))
-    color = data.draw(st.lists(st.integers(-3, b - 1), min_size=h.n, max_size=h.n))
-    sets = classes(HashColoring(n=h.n, b=b + 3, color=tuple(c + 3 for c in color))).vertex_sets()
+@given(_colored_instances())
+def test_ask_colorings_block_equals_asking_each_coloring_alone(instance):
+    h, block, policy_seed = instance
     with tempfile.TemporaryDirectory() as tmp:
         for policy in EdgeSelectionPolicy:
-            by_color = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/color.log")
-            by_sets = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/sets.log")
+            whole = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/whole.log")
+            alone = OracleSession(h, policy, policy_seed, log_path=f"{tmp}/alone.log")
             for witness in (True, False, True):
-                assert by_color.ask_coloring(witness, color) == by_sets.ask_all(witness, sets)
-                assert by_color.ask_coloring(witness, np.array(color, dtype=np.int8)) == (
-                    by_sets.ask_all(witness, sets)
-                )
-                assert by_color.stats() == by_sets.stats()
-            by_color.close()
-            by_sets.close()
-            assert Path(f"{tmp}/color.log").read_bytes() == Path(f"{tmp}/sets.log").read_bytes()
+                rows = whole.ask_colorings(witness, [np.array(c, dtype=np.int8) for c in block])
+                for color, (labels, tuples, picks) in zip(block, rows, strict=True):
+                    one_labels, one_tuples, one_picks = next(alone.ask_colorings(witness, [color]))
+                    assert labels.tolist() == one_labels.tolist()
+                    assert tuples.tolist() == one_tuples.tolist()
+                    if witness:
+                        assert whole.witnesses(picks.tolist()) == alone.witnesses(one_picks.tolist())
+                assert whole.stats() == alone.stats()
+            whole.close()
+            alone.close()
+            assert Path(f"{tmp}/whole.log").read_bytes() == Path(f"{tmp}/alone.log").read_bytes()
 
 
-def test_ask_coloring_rejects_non_integer_colorings_before_counting():
+def test_ask_colorings_rejects_non_integer_colorings_before_counting():
     s = OracleSession(new_hypergraph(3, 2, [(0, 1)]))
     for color in ([0.0, 1.0, 2.0], [True, False, True], [0, 1], [[0, 1, 2]], np.zeros((1, 3), int)):
         with pytest.raises(ValueError):
-            s.ask_coloring(True, color)
+            next(s.ask_colorings(True, [color]))
     assert s.stats() == QueryStats()
-    assert s.ask_coloring(False, (np.int64(5), 9, 5)) == {(0, 1): True}
+    _, tuples, _ = next(s.ask_colorings(False, [(np.int64(5), 9, 5)]))
+    assert tuples.tolist() == [[0, 1]]
     assert s.stats() == QueryStats(bis=1)
 
 
-def test_ask_all_ignores_edges_leaving_the_sets():
+def test_endpoints_ignore_edges_leaving_the_parts():
     s = session_for([(0, 1), (1, 2), (2, 3)], n=4)
-    assert s.ask_all(True, [[1], [2]]) == {(0, 1): (1, 2)}
-    assert s.ask_all(False, [[0], [3]]) == {}
+    assert s.bise([1], [2]) == (1, 2)
+    assert s.bis([0], [3]) is False
     assert s.stats() == QueryStats(bise=1, bis=1)
 
 

@@ -14,6 +14,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qclab
@@ -109,6 +110,21 @@ def test_trial_matches_recorded_output(algo, policy):
     assert report.to_csv_row().rsplit(",", 1)[0] == row
     assert result.witness == witness
     assert result.rounds_used == len(result.query_counts_by_round(hidden.d))
+
+
+@pytest.mark.parametrize("policy", ["lex", "random"])
+@pytest.mark.parametrize("algo", list(CASES))
+def test_numpy_integer_k_and_t_run_like_the_equal_ints(algo, policy):
+    (kind, kw), k, t = CASES[algo]
+    hidden, _ = generate_instance(kind, seed=11, **kw)
+    runs = [
+        run_trial(algo, hidden, k, t=t, seed=3, constants=SMALL, policy=EdgeSelectionPolicy(policy))
+        for k, t in ((k, t), (np.int64(k), None if t is None else np.int64(t)))
+    ]
+    (report, result), (np_report, np_result) = runs
+    assert np_report.to_csv_row().rsplit(",", 1)[0] == report.to_csv_row().rsplit(",", 1)[0]
+    assert np_result.witness == result.witness
+    assert np_result.stats == result.stats
 
 
 def test_cases_cover_the_registry():
